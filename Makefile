@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
+.PHONY: all build test race check-bench bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
 
 all: build
 
@@ -14,11 +14,21 @@ test:
 # lock table, its spin-then-park shard latch, its block-chain lease pools,
 # the engine facade that exposes the latch-free snapshot path, the
 # lock-free observability primitives (striped histograms, decision log),
-# the event ring, and the transaction layer (optimistic read tokens
-# validated against concurrent writers).
+# the event ring, the transaction layer (optimistic read tokens validated
+# against concurrent writers), and the buffer pool with the flat hash table
+# that indexes it and the lock table.
 race:
 	$(GO) test -race ./internal/latch ./internal/lockmgr ./internal/memblock \
-		./internal/engine ./internal/obs ./internal/trace ./internal/txn
+		./internal/engine ./internal/obs ./internal/trace ./internal/txn \
+		./internal/bufferpool ./internal/flathash
+
+# check-bench compiles, vets and runs the short tests of bench/, a nested
+# module that go build ./... and go test ./... do not see: it reaches into
+# internal/ through the exported API, so a rename there can break the
+# yardstick without breaking tier-1.
+check-bench:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench -short ./...
 
 bench: bench-lock
 
@@ -208,8 +218,9 @@ obs-demo: build
 # packages, and one-iteration smoke runs of the read-path benches, the
 # group-release commit path, the contention profiler's live endpoints,
 # the spin-then-park latch counters on /metrics, and the admission
-# throttle's cull/reactivate accounting.
-verify: fmt vet build test race smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle
+# throttle's cull/reactivate accounting; plus vet and the short tests of
+# the nested bench module.
+verify: fmt vet build test race check-bench smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

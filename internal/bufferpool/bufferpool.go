@@ -11,6 +11,8 @@ package bufferpool
 
 import (
 	"sync"
+
+	"repro/internal/flathash"
 )
 
 // frame is one cached page.
@@ -24,8 +26,11 @@ type frame struct {
 type Pool struct {
 	mu     sync.Mutex
 	frames []frame
-	index  map[uint64]int // page -> frame position
-	hand   int
+	// index maps a page to its frame: 4-byte positions (stored off by one;
+	// zero is the table's empty slot) compared through frames[pos].page,
+	// sized for every frame at New and Resize so an access never grows it.
+	index flathash.Table[uint32]
+	hand  int
 
 	hits, misses      int64
 	intervalHits      int64
@@ -39,10 +44,25 @@ func New(pages int) *Pool {
 	if pages < 0 {
 		pages = 0
 	}
-	return &Pool{
-		frames: make([]frame, pages),
-		index:  make(map[uint64]int, pages),
-	}
+	p := &Pool{frames: make([]frame, pages)}
+	p.index.Reserve(pages)
+	return p
+}
+
+// pageHash spreads page numbers over the index. The multiplier is odd, so
+// distinct pages never share a hash, and the table reads the top bits,
+// where consecutive pages land far apart.
+func pageHash(page uint64) uint64 { return page * 0x9E3779B97F4A7C15 }
+
+// lookup returns the position of the frame caching page.
+func (p *Pool) lookup(page uint64) (int, bool) {
+	v, ok := p.index.Find(pageHash(page), func(v uint32) bool { return p.frames[v-1].page == page })
+	return int(v) - 1, ok
+}
+
+// unindex removes the used frame at pos from the index.
+func (p *Pool) unindex(pos int) {
+	p.index.Delete(pageHash(p.frames[pos].page), uint32(pos)+1)
 }
 
 // Pages returns the pool capacity in pages.
@@ -58,7 +78,7 @@ func (p *Pool) Pages() int {
 func (p *Pool) Access(page uint64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if pos, ok := p.index[page]; ok {
+	if pos, ok := p.lookup(page); ok {
 		p.frames[pos].ref = true
 		p.hits++
 		p.intervalHits++
@@ -71,7 +91,7 @@ func (p *Pool) Access(page uint64) bool {
 	}
 	pos := p.evictLocked()
 	if p.frames[pos].used {
-		delete(p.index, p.frames[pos].page)
+		p.unindex(pos)
 		p.totalEvictions++
 		p.intervalEvictions++
 	}
@@ -79,7 +99,7 @@ func (p *Pool) Access(page uint64) bool {
 	// earns a second chance, otherwise a full sweep degenerates to FIFO
 	// and hot pages get no protection.
 	p.frames[pos] = frame{page: page, used: true}
-	p.index[page] = pos
+	p.index.Insert(pageHash(page), uint32(pos)+1)
 	return false
 }
 
@@ -114,7 +134,7 @@ func (p *Pool) Resize(pages int) {
 	case pages < cur:
 		for i := pages; i < cur; i++ {
 			if p.frames[i].used {
-				delete(p.index, p.frames[i].page)
+				p.unindex(i)
 				p.totalEvictions++
 				p.intervalEvictions++
 			}
@@ -127,6 +147,7 @@ func (p *Pool) Resize(pages int) {
 		grown := make([]frame, pages)
 		copy(grown, p.frames)
 		p.frames = grown
+		p.index.Reserve(pages)
 	}
 }
 

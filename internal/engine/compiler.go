@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"maps"
 	"sync"
+	"sync/atomic"
 )
 
 // Compiler is the SQL plan-choice stub of section 3.6. The query optimizer
@@ -15,11 +17,16 @@ import (
 // also tracks the actual lock footprint per statement class and uses an
 // exponentially weighted average of observations instead of the optimizer's
 // a-priori estimate.
+//
+// Every statement consults the compiler, from every session, so reads take
+// no lock: viewPages and learning never change, and the learned footprints
+// are an immutable map behind an atomic pointer, which Observe replaces
+// with an updated copy under mu.
 type Compiler struct {
-	mu        sync.Mutex
 	viewPages int
 	learning  bool
-	learned   map[string]float64 // statement class -> EWMA of actual rows
+	mu        sync.Mutex // serializes Observe
+	learned   atomic.Pointer[map[string]float64]
 }
 
 // ewmaAlpha weights recent observations in the learning extension.
@@ -27,11 +34,7 @@ const ewmaAlpha = 0.3
 
 // NewCompiler creates the stub with the given stable lock-memory view.
 func NewCompiler(viewPages int, learning bool) *Compiler {
-	return &Compiler{
-		viewPages: viewPages,
-		learning:  learning,
-		learned:   make(map[string]float64),
-	}
+	return &Compiler{viewPages: viewPages, learning: learning}
 }
 
 // ViewPages returns sqlCompilerLockMem in pages.
@@ -44,11 +47,9 @@ const structsPerPage = 64
 // with the optimizer's estimated row footprint: row locking when the
 // footprint fits the compiler's lock-memory view, table locking otherwise.
 func (c *Compiler) ChooseRowLocking(class string, estimatedRows int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	est := float64(estimatedRows)
 	if c.learning {
-		if v, ok := c.learned[class]; ok {
+		if v, ok := c.Learned(class); ok {
 			est = v
 		}
 	}
@@ -63,45 +64,62 @@ func (c *Compiler) Observe(class string, actualRows int) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if v, ok := c.learned[class]; ok {
-		c.learned[class] = (1-ewmaAlpha)*v + ewmaAlpha*float64(actualRows)
-	} else {
-		c.learned[class] = float64(actualRows)
+	next := map[string]float64{}
+	if m := c.learned.Load(); m != nil {
+		maps.Copy(next, *m)
 	}
+	if v, ok := next[class]; ok {
+		next[class] = (1-ewmaAlpha)*v + ewmaAlpha*float64(actualRows)
+	} else {
+		next[class] = float64(actualRows)
+	}
+	c.learned.Store(&next)
 }
 
 // Learned returns the learned footprint for a class and whether one exists.
 func (c *Compiler) Learned(class string) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.learned[class]
+	m := c.learned.Load()
+	if m == nil {
+		return 0, false
+	}
+	v, ok := (*m)[class]
 	return v, ok
 }
 
-// syncSet is a tiny concurrent set of application ids.
+// syncSet is a tiny concurrent set of application ids, read on every lock
+// admission (does this application prefer escalation?) and written when a
+// connection opens or closes: readers load an immutable snapshot, writers
+// replace it under mu.
 type syncSet struct {
-	mu sync.Mutex
-	m  map[int]struct{}
+	mu sync.Mutex // serializes add and remove
+	m  atomic.Pointer[map[int]struct{}]
 }
 
-func (s *syncSet) add(id int) {
+// replace publishes a copy of the set with id added or removed.
+func (s *syncSet) replace(id int, member bool) {
 	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[int]struct{})
+	defer s.mu.Unlock()
+	next := map[int]struct{}{}
+	if m := s.m.Load(); m != nil {
+		maps.Copy(next, *m)
 	}
-	s.m[id] = struct{}{}
-	s.mu.Unlock()
+	if member {
+		next[id] = struct{}{}
+	} else {
+		delete(next, id)
+	}
+	s.m.Store(&next)
 }
 
-func (s *syncSet) remove(id int) {
-	s.mu.Lock()
-	delete(s.m, id)
-	s.mu.Unlock()
-}
+func (s *syncSet) add(id int) { s.replace(id, true) }
+
+func (s *syncSet) remove(id int) { s.replace(id, false) }
 
 func (s *syncSet) has(id int) bool {
-	s.mu.Lock()
-	_, ok := s.m[id]
-	s.mu.Unlock()
+	m := s.m.Load()
+	if m == nil {
+		return false
+	}
+	_, ok := (*m)[id]
 	return ok
 }

@@ -104,3 +104,85 @@ func TestRealTimeSoak(t *testing.T) {
 		t.Fatal("no transactions committed")
 	}
 }
+
+// TestCompilerConcurrentObserve runs Observe against ChooseRowLocking and
+// Learned from several goroutines: under -race it checks the lock-free
+// snapshot, and in any mode that no observation is lost — every class ends
+// with an average inside the range of the values it was fed.
+func TestCompilerConcurrentObserve(t *testing.T) {
+	c := NewCompiler(100, true)
+	classes := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				c.Observe(classes[(g+i)%len(classes)], 1000+i%500)
+			}
+		}(g)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				class := classes[(g+i)%len(classes)]
+				rowLocking := c.ChooseRowLocking(class, 1)
+				if v, ok := c.Learned(class); ok && (v < 1000 || v >= 1500) {
+					t.Errorf("class %s learned %v, outside every observation", class, v)
+					return
+				} else if ok && !rowLocking && v <= 100*structsPerPage {
+					// A footprint learned between the two calls can only
+					// have made the answer true, never false.
+					t.Errorf("class %s: table locking chosen with footprint %v in view", class, v)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, class := range classes {
+		if v, ok := c.Learned(class); !ok || v < 1000 || v >= 1500 {
+			t.Fatalf("class %s: learned %v, %v", class, v, ok)
+		}
+	}
+}
+
+// TestSyncSetConcurrent checks the escalation-preference set's snapshot
+// reads against concurrent adds and removes.
+func TestSyncSetConcurrent(t *testing.T) {
+	var s syncSet
+	if s.has(1) {
+		t.Fatal("empty set has 1")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				s.add(g)
+				if !s.has(g) {
+					t.Errorf("id %d missing right after add", g)
+					return
+				}
+				s.remove(g)
+				if s.has(g) {
+					t.Errorf("id %d present right after remove", g)
+					return
+				}
+			}
+			s.add(100 + g)
+		}(g)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				s.has(i % 8)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := 0; g < 4; g++ {
+		if s.has(g) || !s.has(100+g) {
+			t.Fatalf("after the run: has(%d)=%v has(%d)=%v", g, s.has(g), 100+g, s.has(100+g))
+		}
+	}
+}

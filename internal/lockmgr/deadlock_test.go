@@ -80,7 +80,7 @@ func TestConvertDeadlock(t *testing.T) {
 	} else {
 		t.Fatal("no conversion denied")
 	}
-	if req, ok := victim.held.get(row); !ok || req.mode != ModeS {
+	if req, ok := victim.heldGet(hashName(row), row); !ok || req.mode != ModeS {
 		t.Fatalf("victim's original S lock lost: %+v", req)
 	}
 	// After the victim commits, the survivor converts.

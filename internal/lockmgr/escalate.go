@@ -37,31 +37,38 @@ import (
 func (m *Manager) escalate(o *Owner, parked *request) bool {
 	// Victim selection: the owner's table with the most row lock
 	// structures, mirroring "promoting one or more row level locks to...
-	// a table level lock" where it pays the most.
-	var victim uint32
+	// a table level lock" where it pays the most. o.mu covers the reads of
+	// the owner's indexes (a stray ReleaseAll clears them under o.mu alone).
+	o.mu.Lock()
 	var victimOT *ownerTable
-	o.eachTable(func(tid uint32, ot *ownerTable) bool {
-		if ot.tableReq == nil || !ot.tableReq.granted || ot.rowCount() == 0 {
-			return true
+	for i := range o.tables {
+		ot := &o.tables[i]
+		if ot.tableReq == nil || !ot.tableReq.granted || ot.nRows == 0 {
+			continue
 		}
 		if ot.tableReq.converting {
-			return true // an escalation is already in flight on this table
+			continue // an escalation is already in flight on this table
 		}
 		if victimOT == nil || ot.rowStructs > victimOT.rowStructs {
-			victim, victimOT = tid, ot
+			victimOT = ot
 		}
-		return true
-	})
+	}
 	if victimOT == nil {
+		o.mu.Unlock()
 		return false
 	}
+	victim, tableReq := victimOT.tid, victimOT.tableReq
 
 	// Target mode: the weakest table mode covering every row lock held
 	// (plus the triggering request if it is a row of the victim table).
-	target := victimOT.tableReq.mode
-	victimOT.eachRow(func(_ uint64, r *request) {
-		target = Supremum(target, r.mode)
+	target := tableReq.mode
+	o.held.Each(func(r *request) bool {
+		if r.name.Gran == GranRow && r.name.Table == victim {
+			target = Supremum(target, r.mode)
+		}
+		return true
 	})
+	o.mu.Unlock()
 	if parked != nil && parked.name.Gran == GranRow && parked.name.Table == victim {
 		target = Supremum(target, parked.mode)
 	}
@@ -74,7 +81,7 @@ func (m *Manager) escalate(o *Owner, parked *request) bool {
 		m.cfg.Events.OnEscalation(o.app.id, victim, target)
 	}
 	if m.flight != nil {
-		tn := victimOT.tableReq.name
+		tn := tableReq.name
 		m.flightAdd(m.shardOf(tn), trace.KindEscalation, o.app.id,
 			fmt.Sprintf("%s to=%s owner=%d", tn, target, o.id))
 	}
@@ -105,7 +112,7 @@ func (m *Manager) escalate(o *Owner, parked *request) bool {
 		m.abandonParked(parked, err)
 	}
 
-	if Supremum(victimOT.tableReq.mode, target) == victimOT.tableReq.mode {
+	if Supremum(tableReq.mode, target) == tableReq.mode {
 		// The table lock is already strong enough (e.g. a prior
 		// escalation); just shed the redundant row locks. The continuation
 		// self-latches, so it cannot run here under every latch — it is
@@ -114,33 +121,36 @@ func (m *Manager) escalate(o *Owner, parked *request) bool {
 		return true
 	}
 
-	m.startConversion(victimOT.tableReq, target, newPending(), continueAfter, abandon)
+	m.startConversion(tableReq, target, newPending(), continueAfter, abandon)
 	return true
 }
 
 // freeEscalatedRows releases every row lock o holds on the table; the
 // escalated table lock now covers them. It runs as a continuation with no
-// latches held: the row set is snapshotted under o.mu, grouped by home
-// shard, and every row is re-validated under its shard's latch (plus o.mu
-// for the map read) before release — rows the owner released or converted
-// in the meantime are skipped.
+// latches held: the table's rows are picked out of the held index under
+// o.mu, grouped by home shard, and every row is re-validated under its
+// shard's latch (plus o.mu for the index read) before release — rows the
+// owner released or converted in the meantime are skipped.
 func (m *Manager) freeEscalatedRows(o *Owner, table uint32) {
-	// Snapshot (row, request) pairs under o.mu. The row keys are copied
+	// Snapshot (row, hash, request) under o.mu. The row keys are copied
 	// out of the index: shard routing and revalidation below must not
 	// dereference a request pointer the owner's commit may have released
 	// concurrently — a released box can be recycled and rewritten by an
 	// unrelated acquire.
 	type rowSnap struct {
-		row uint64
-		r   *request
+		row  uint64
+		hash uint64
+		r    *request
 	}
-	o.mu.Lock()
-	ot := o.tableFor(table)
 	var rows []rowSnap
-	if ot != nil {
-		rows = make([]rowSnap, 0, ot.rowCount())
-		ot.eachRow(func(row uint64, r *request) {
-			rows = append(rows, rowSnap{row, r})
+	o.mu.Lock()
+	if ot := o.tableFor(table); ot != nil && ot.nRows > 0 {
+		rows = make([]rowSnap, 0, ot.nRows)
+		o.held.Each(func(r *request) bool {
+			if r.name.Gran == GranRow && r.name.Table == table {
+				rows = append(rows, rowSnap{r.name.Row, r.hash, r})
+			}
+			return true
 		})
 	}
 	o.mu.Unlock()
@@ -151,21 +161,21 @@ func (m *Manager) freeEscalatedRows(o *Owner, table uint32) {
 	// Group by home shard so each shard is latched once.
 	byShard := make(map[int][]rowSnap)
 	for _, e := range rows {
-		i := m.shardOf(RowName(table, e.row))
+		i := int(e.hash & m.shardMask)
 		byShard[i] = append(byShard[i], e)
 	}
 	for i, batch := range byShard {
 		s := m.lockShard(i)
 		// Re-validate under the latch: a row request's granted/converting
-		// state and its ot.rows membership only change under its home
-		// shard latch (held) plus o.mu (taken for the map read), so the
+		// state and its held membership only change under its home shard
+		// latch (held) plus o.mu (taken for the index read), so the
 		// filtered batch is accurate for as long as we hold the latch.
 		// Pointer identity decides first; only a match proves e.r is
 		// still this owner's live request, making its fields safe to read.
 		live := batch[:0]
 		o.mu.Lock()
 		for _, e := range batch {
-			if cur, ok := ot.getRow(e.row); ok && cur == e.r && e.r.granted {
+			if cur, ok := o.heldGet(e.hash, RowName(table, e.row)); ok && cur == e.r && e.r.granted {
 				live = append(live, e)
 			}
 		}

@@ -164,12 +164,12 @@ func TestEscalationPicksBiggestTable(t *testing.T) {
 	}
 	// Table 1's rows must survive; table 2's must be gone.
 	ot1 := o.tableFor(1)
-	if ot1 == nil || ot1.rowCount() != 50 {
+	if ot1 == nil || ot1.nRows != 50 {
 		t.Fatalf("table 1 rows disturbed: %+v", ot1)
 	}
 	ot2 := o.tableFor(2)
-	if ot2 == nil || ot2.rowCount() != 0 {
-		t.Fatalf("table 2 rows not escalated: %d rows", ot2.rowCount())
+	if ot2 == nil || ot2.nRows != 0 {
+		t.Fatalf("table 2 rows not escalated: %d rows", ot2.nRows)
 	}
 	if ot2.tableReq.mode != ModeS {
 		t.Fatalf("table 2 escalated mode = %v, want S", ot2.tableReq.mode)
@@ -226,7 +226,7 @@ func TestEscalationWaitsForConflicts(t *testing.T) {
 	m.ReleaseAll(o2)
 	mustGrant(t, last, "granted after escalation completes")
 	// After escalation, o1's request is covered by the table X lock.
-	if got := o1.tableFor(1).rowCount(); got != 0 {
+	if got := o1.tableFor(1).nRows; got != 0 {
 		t.Fatalf("row locks remain after escalation: %d", got)
 	}
 }

@@ -446,7 +446,7 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 	// at a mode at least as strong, or a table lock covering the row. Both
 	// checks read only owner-mu-guarded state; a hit touches no shared
 	// structure at all.
-	if cur, ok := o.held.get(name); ok {
+	if cur, ok := o.heldGet(hash, name); ok {
 		if cur.granted && !cur.converting && Supremum(cur.mode, mode) == cur.mode {
 			o.mu.Unlock()
 			m.stats.grants.Add(1)
@@ -530,6 +530,7 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 	req.owner = o
 	req.header = h
 	req.name = name
+	req.hash = hash
 	req.mode = mode
 	req.weight = weight
 	req.granted = true
@@ -546,14 +547,8 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 	}
 	h.addGranted(req)
 	h.groupMode = Mode((nw >> wordGMShift) & wordGMMask)
-	o.held.set(name, req)
-	ot := o.tableOrCreate(name.Table)
-	if name.Gran == GranTable {
-		ot.tableReq = req
-	} else {
-		ot.setRow(name.Row, req)
-		ot.rowStructs += weight
-	}
+	o.held.Insert(hash, req)
+	o.tableOrCreate(name.Table).add(req)
 	h.word.Store(nw) // release lk; publishes the plain writes above
 	o.mu.Unlock()
 
@@ -573,21 +568,21 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 // resident with an admitting word. Returns false when the release must
 // take the latched path (not fast-granted, converted to a non-eligible
 // mode, fenced, gated); it mutates nothing in that case.
-func (m *Manager) tryFastRelease(o *Owner, name Name, si int) bool {
+func (m *Manager) tryFastRelease(o *Owner, name Name, hash uint64, si int) bool {
 	s := &m.shards[si]
 	s.fastOps.Add(1)
 	if m.fastGate.Load() != 0 {
 		s.fastOps.Add(-1)
 		return false
 	}
-	done := m.fastReleaseGated(o, name, si, s)
+	done := m.fastReleaseGated(o, name, hash, si, s)
 	s.fastOps.Add(-1)
 	return done
 }
 
-func (m *Manager) fastReleaseGated(o *Owner, name Name, si int, s *shard) bool {
+func (m *Manager) fastReleaseGated(o *Owner, name Name, hash uint64, si int, s *shard) bool {
 	o.mu.Lock()
-	req, ok := o.held.get(name)
+	req, ok := o.heldGet(hash, name)
 	if !ok || !req.granted || req.converting || !req.fastLeased ||
 		!fastEligible(req.mode) || req.header == nil || !req.header.published {
 		o.mu.Unlock()

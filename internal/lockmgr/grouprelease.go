@@ -267,8 +267,8 @@ func (m *Manager) maybeFlushShard(si int, d *releaseDrain) {
 // against every latch-taking leader, and the list Swap is atomic against
 // all of them. No relCond broadcast either — stagers only park while a
 // relFlush leader is active, and that leader broadcasts when it is done.
-// The drain scratch is embedded in the shard (latch-protected, like the
-// table map), so the per-acquire drain allocates nothing.
+// The drain scratch is embedded in the shard (latch-protected, like its
+// table), so the per-acquire drain allocates nothing.
 func (m *Manager) drainStagedInline(s *shard, si int) {
 	d := &s.relInline
 	m.drainStagedLocked(s, si, d)
@@ -332,8 +332,8 @@ func (m *Manager) drainStagedLocked(s *shard, si int, d *releaseDrain) int {
 			m.releaseShardPhase1(s, si, o, sb, true, d)
 			m.relBatches.Shard(si).Inc()
 			sb.next, sb.stagedOwner = nil, nil
+			sb.reset()
 			if sb.pooled {
-				sb.reset()
 				releaseBatchPool.Put(sb)
 			}
 			m.dropStagedRef(o)

@@ -244,7 +244,7 @@ func TestGroupReleaseAdmissionWindowRace(t *testing.T) {
 
 	waiter := m.NewOwner(app) // registered before the commit: no last-owner-out force flush
 	fired := false
-	testHookPreEnqueue = func(*Manager, int) {
+	m.preEnqueueHook = func() {
 		if fired {
 			return
 		}
@@ -255,7 +255,6 @@ func TestGroupReleaseAdmissionWindowRace(t *testing.T) {
 			t.Error("commit did not stage (storm path never engaged)")
 		}
 	}
-	defer func() { testHookPreEnqueue = nil }()
 
 	p := m.AcquireAsync(waiter, row, ModeX, 1)
 	if !fired {
@@ -294,7 +293,7 @@ func TestGroupReleaseConversionWindowRace(t *testing.T) {
 	mustGrant(t, m.AcquireAsync(conv, row, ModeS, 1), "conv S")
 
 	fired := false
-	testHookPreEnqueue = func(*Manager, int) {
+	m.preEnqueueHook = func() {
 		if fired {
 			return
 		}
@@ -305,7 +304,6 @@ func TestGroupReleaseConversionWindowRace(t *testing.T) {
 			t.Error("commit did not stage (storm path never engaged)")
 		}
 	}
-	defer func() { testHookPreEnqueue = nil }()
 
 	p := m.AcquireAsync(conv, row, ModeX, 1)
 	if !fired {

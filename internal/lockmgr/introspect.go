@@ -49,7 +49,7 @@ func (m *Manager) DumpLocks() []LockInfo {
 	var out []LockInfo
 	for i := range m.shards {
 		s := m.lockShard(i)
-		for _, h := range s.table {
+		s.table.Each(func(h *lockHeader) bool {
 			// Published headers accept latch-free grants; seal the word so
 			// the granted group is stable (and race-free) while we copy it,
 			// settle before moving on.
@@ -76,7 +76,8 @@ func (m *Manager) DumpLocks() []LockInfo {
 			}
 			m.settleFast(s, h)
 			out = append(out, li)
-		}
+			return true
+		})
 		m.unlockShard(s)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -147,7 +148,7 @@ func (m *Manager) checkInvariantsLocked() error {
 		s := &m.shards[i]
 		// The latch-free observation mirrors must agree exactly with the
 		// latched truth while every latch is held.
-		if got, want := s.nLocks.Load(), int64(len(s.table)); got != want {
+		if got, want := s.nLocks.Load(), int64(s.table.Len()); got != want {
 			return fmt.Errorf("lockmgr: shard %d nLocks mirror %d, table has %d", i, got, want)
 		}
 		if got, want := s.nWaiting.Load(), int64(len(s.waiting)); got != want {
@@ -159,16 +160,23 @@ func (m *Manager) checkInvariantsLocked() error {
 		fastInUse := 0  // Σ granted fast-leased weights in this shard
 		publishedN := 0 // published headers resident in this shard's table
 		culledHere := 0 // culled requests on this shard's header stacks
-		for name, h := range s.table {
+		hdrs := make([]*lockHeader, 0, s.table.Len())
+		s.table.Each(func(h *lockHeader) bool {
+			hdrs = append(hdrs, h)
+			return true
+		})
+		for _, h := range hdrs {
+			name := h.name
+			// Filed under the hash its name has today: a lookup reaches it.
+			if s.header(hashName(name), name) != h {
+				return fmt.Errorf("lockmgr: shard %d header %v is not where its name hashes to", i, name)
+			}
 			if h.published {
 				publishedN++
 				slot := s.fastSlots[fastSlotIndex(hashName(name))].Load()
 				if slot != h {
 					return fmt.Errorf("lockmgr: published header %v not in its fast slot", name)
 				}
-			}
-			if h.name != name {
-				return fmt.Errorf("lockmgr: header name mismatch %v vs %v", h.name, name)
 			}
 			if m.shardOf(name) != i {
 				return fmt.Errorf("lockmgr: %v hashed to shard %d but stored in %d", name, m.shardOf(name), i)
@@ -334,7 +342,7 @@ func (m *Manager) checkInvariantsLocked() error {
 			if !h.published {
 				return fmt.Errorf("lockmgr: shard %d slot %d holds unpublished header %v", i, j, h.name)
 			}
-			if s.table[h.name] != h {
+			if s.header(hashName(h.name), h.name) != h {
 				return fmt.Errorf("lockmgr: shard %d slot %d header %v not in table", i, j, h.name)
 			}
 			if fastSlotIndex(hashName(h.name)) != j {
@@ -405,7 +413,7 @@ func (m *Manager) checkInvariantsLocked() error {
 					if e.si != i {
 						return fmt.Errorf("lockmgr: staged entry %v routed to shard %d, staged on %d", e.name, e.si, i)
 					}
-					h := s.table[e.name]
+					h := s.header(hashName(e.name), e.name)
 					if h == nil || h.getGranted(o) != e.req {
 						return fmt.Errorf("lockmgr: staged release of %v no longer granted in table", e.name)
 					}
@@ -457,20 +465,9 @@ func (m *Manager) checkInvariantsLocked() error {
 			// the held indexes under o.mu alone); every other mutation is
 			// under a shard latch, excluded by the stopped world.
 			o.mu.Lock()
-			var heldErr error
-			o.held.each(func(name Name, req *request) {
-				h := m.shardFor(name).table[name]
-				if h == nil || h.getGranted(o) != req {
-					heldErr = fmt.Errorf("lockmgr: owner %d holds %v not present in table", o.id, name)
-				}
-				if !o.isTouched(m.shardOf(name)) {
-					heldErr = fmt.Errorf("lockmgr: owner %d holds %v in shard %d without touched bit",
-						o.id, name, m.shardOf(name))
-				}
-			})
-			if heldErr != nil {
+			if err := m.checkOwnerIndexes(o); err != nil {
 				o.mu.Unlock()
-				return heldErr
+				return err
 			}
 			// The latch-free inWait gauge must equal the owner's waiting-set
 			// population exactly while every latch is held: increments happen
@@ -481,25 +478,7 @@ func (m *Manager) checkInvariantsLocked() error {
 				o.mu.Unlock()
 				return fmt.Errorf("lockmgr: owner %d inWait gauge %d, waiting sets hold %d", o.id, got, want)
 			}
-			var tblErr error
-			o.eachTable(func(tid uint32, ot *ownerTable) bool {
-				structs := 0
-				ot.eachRow(func(row uint64, r *request) {
-					if hr, ok := o.held.get(RowName(tid, row)); !ok || hr != r {
-						tblErr = fmt.Errorf("lockmgr: owner %d byTable row %d desynced", o.id, row)
-					}
-					structs += r.weight
-				})
-				if tblErr == nil && structs != ot.rowStructs {
-					tblErr = fmt.Errorf("lockmgr: owner %d table %d rowStructs %d, want %d",
-						o.id, tid, ot.rowStructs, structs)
-				}
-				return tblErr == nil
-			})
 			o.mu.Unlock()
-			if tblErr != nil {
-				return tblErr
-			}
 		}
 		return nil
 	}()
@@ -583,4 +562,42 @@ func (m *Manager) checkInvariantsLocked() error {
 		}
 	}
 	return nil
+}
+
+// checkOwnerIndexes verifies one owner's held index against the lock table
+// and its tables entries against held: each held request is reachable under
+// its name's hash, granted in its home shard (whose touched bit is set), and
+// every per-table row count, structure total and table lock recomputed from
+// held equals the stored one exactly — escalation ranks victims by those
+// totals without looking at held. Caller holds every shard latch and o.mu.
+func (m *Manager) checkOwnerIndexes(o *Owner) error {
+	var err error
+	o.held.Each(func(req *request) bool {
+		name, si := req.name, int(req.hash&m.shardMask)
+		h := m.shards[si].header(req.hash, name)
+		switch cur, _ := o.heldGet(hashName(name), name); {
+		case cur != req || req.hash != hashName(name):
+			err = fmt.Errorf("lockmgr: owner %d request for %v is not where its name hashes to", o.id, name)
+		case h == nil || h.getGranted(o) != req:
+			err = fmt.Errorf("lockmgr: owner %d holds %v not present in table", o.id, name)
+		case !o.isTouched(si):
+			err = fmt.Errorf("lockmgr: owner %d holds %v in shard %d without touched bit", o.id, name, si)
+		case o.tableFor(name.Table) == nil:
+			err = fmt.Errorf("lockmgr: owner %d holds %v without a tables entry", o.id, name)
+		}
+		return err == nil
+	})
+	for _, ot := range o.tables {
+		want := ownerTable{tid: ot.tid} // emptied entries stay behind
+		o.held.Each(func(req *request) bool {
+			if req.name.Table == ot.tid {
+				want.add(req)
+			}
+			return true
+		})
+		if err == nil && ot != want {
+			err = fmt.Errorf("lockmgr: owner %d table %d entry %+v, held says %+v", o.id, ot.tid, ot, want)
+		}
+	}
+	return err
 }

@@ -42,11 +42,11 @@
 //     that need a simultaneous view of a handful of shards (deadlock-cycle
 //     re-validation) latch only those shards, still in ascending order, so
 //     they cannot deadlock against runGlobal or each other.
-//  2. Owner.mu — leaf lock guarding one owner's held/byTable indexes and
-//     the granted/converting/mode fields of its requests. Writers hold
-//     (home-shard latch + Owner.mu); readers hold either Owner.mu (the
-//     cross-shard coverage check) or the relevant shard latches. Owner.mu
-//     is never held while acquiring a shard latch.
+//  2. Owner.mu — leaf lock guarding one owner's held index and per-table
+//     entries and the granted/converting/mode fields of its requests.
+//     Writers hold (home-shard latch + Owner.mu); readers hold either
+//     Owner.mu (the cross-shard coverage check) or the relevant shard
+//     latches. Owner.mu is never held while acquiring a shard latch.
 //  3. Leaves of the leaves: chain.mu (inside pool refills and global
 //     allocation), contMu (continuation queue), ownersMu (app/owner
 //     registry), and the Pending mutex. None of these is ever held while
@@ -83,6 +83,18 @@
 //     targets under those latches, so a release, grant, or timeout racing
 //     the drain is observed rather than clobbered (see escalate.go).
 //
+// # Indexes
+//
+// One table type, flathash.Table, indexes both sides of a lock, probed with
+// the hashName value acquireAsync computes once and the request carries
+// from then on. A shard's table (name → header) changes under the shard
+// latch and is never cleared: headers leave one by one. An owner's held
+// table (name → granted request) changes under Owner.mu, starts on a segment
+// inside the Owner, and is cleared wholesale when the commit walk detaches
+// the held set. Per-table state on the owner is a short inline array; what
+// needs the rows of one table (escalation, CheckInvariants) filters held.
+// docs/ALGORITHM.md ("Indexes") has the sizes and the third user.
+//
 // runGlobal survives for exactly two jobs: the admission pipeline of last
 // resort (quota growth, escalation, and synchronous growth need a
 // consistent view of every lease pool and the chain) and CheckInvariants
@@ -105,6 +117,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/flathash"
 	"repro/internal/latch"
 	"repro/internal/memblock"
 	"repro/internal/metrics"
@@ -372,22 +385,22 @@ type Owner struct {
 	id  uint64
 	app *App
 
-	// mu guards held, byTable, released, touched, and the owner-visible
+	// mu guards held, tables, released, touched, and the owner-visible
 	// request fields (granted/converting/convert/mode) of this owner's
 	// requests. It is a leaf lock: never held while acquiring a shard
 	// latch.
 	mu       sync.Mutex
-	held     heldSet
+	held     flathash.Table[*request] // granted requests, by hashName(name)
+	heldSeg  [heldInlineSlots]flathash.Slot[*request]
 	released bool // set by ReleaseAll; further requests are rejected
 
-	// Per-table indexes: the first table an owner touches lives in the
-	// inline slot (ot0), further tables spill to the lazily allocated
-	// byTable map. Most OLTP transactions touch one or two tables, so the
-	// common case allocates neither the map nor an ownerTable.
-	ot0used bool
-	ot0tid  uint32
-	ot0     ownerTable
-	byTable map[uint32]*ownerTable // nil until a second table appears
+	// tables holds one entry per table the owner has locked, in first-touch
+	// order: the table lock itself and the row-lock totals escalation ranks
+	// victims by. A transaction touches a handful of tables, so a linear
+	// scan of the inline array (tables starts as tables0[:0] and spills to
+	// the heap only past it) beats any index.
+	tables  []ownerTable
+	tables0 [ownerTablesInline]ownerTable
 
 	// touched is the owner's touched-shard set: bit i is set (under mu, at
 	// admission time) before any of this owner's requests can exist in
@@ -476,49 +489,45 @@ func (o *Owner) isTouched(si int) bool {
 	return o.touchedHi[(si>>6)-1]&(1<<(uint(si)&63)) != 0
 }
 
-// tableFor returns the owner's per-table index for tid, or nil. Caller
-// holds o.mu.
+// tableFor returns the owner's entry for table tid, or nil. The pointer is
+// good until the next tableOrCreate. Caller holds o.mu.
 func (o *Owner) tableFor(tid uint32) *ownerTable {
-	if o.ot0used && o.ot0tid == tid {
-		return &o.ot0
+	for i := range o.tables {
+		if o.tables[i].tid == tid {
+			return &o.tables[i]
+		}
 	}
-	return o.byTable[tid] // nil-map read is fine
+	return nil
 }
 
-// tableOrCreate returns the per-table index for tid, creating it in the
-// inline slot or the spill map. Caller holds o.mu.
+// tableOrCreate returns the entry for table tid, appending one if the owner
+// has not touched the table yet. Caller holds o.mu.
 func (o *Owner) tableOrCreate(tid uint32) *ownerTable {
-	if !o.ot0used {
-		o.ot0used, o.ot0tid = true, tid
-		return &o.ot0
-	}
-	if o.ot0tid == tid {
-		return &o.ot0
-	}
-	if ot := o.byTable[tid]; ot != nil {
+	if ot := o.tableFor(tid); ot != nil {
 		return ot
 	}
-	if o.byTable == nil {
-		o.byTable = make(map[uint32]*ownerTable)
-	}
-	ot := &ownerTable{}
-	o.byTable[tid] = ot
-	return ot
+	o.tables = append(o.tables, ownerTable{tid: tid})
+	return &o.tables[len(o.tables)-1]
 }
 
-// eachTable calls f for every per-table index until f returns false.
-// Caller holds o.mu (or owns the owner exclusively).
-func (o *Owner) eachTable(f func(uint32, *ownerTable) bool) {
-	if o.ot0used {
-		if !f(o.ot0tid, &o.ot0) {
-			return
-		}
+// heldGet returns the owner's granted request for name, whose hashName is
+// hash. Caller holds o.mu.
+func (o *Owner) heldGet(hash uint64, name Name) (*request, bool) {
+	return o.held.Find(hash, func(r *request) bool { return r.name == name })
+}
+
+// clearIndexes empties held and tables. The held array is kept for the
+// owner's next transaction unless one large transaction (a scan) grew it
+// past heldKeepSlots: every later commit would pay to clear it. Caller
+// holds o.mu or owns the owner exclusively.
+func (o *Owner) clearIndexes() {
+	if o.held.Slots() > heldKeepSlots {
+		o.held.Reset(o.heldSeg[:])
+	} else {
+		o.held.Clear()
 	}
-	for tid, ot := range o.byTable {
-		if !f(tid, ot) {
-			return
-		}
-	}
+	o.tables0 = [ownerTablesInline]ownerTable{} // drop the tableReq pointers
+	o.tables = o.tables0[:0]
 }
 
 // touchedShards appends the owner's touched shard indexes, ascending.
@@ -541,94 +550,16 @@ func (o *Owner) touchedShards(buf []int) []int {
 	return buf
 }
 
-// heldSmallMax is the number of locks an owner indexes in the inline array
-// before spilling to a map. Most OLTP transactions hold a handful of locks;
-// a linear scan over ≤10 entries beats a Name-keyed map's hash+probe, and
-// insert/delete become an append and a swap-remove. The size is a
-// per-transaction memory trade: the inline array is the biggest field in
-// Owner, and every commit allocates one.
-const heldSmallMax = 10
-
-type heldEntry struct {
-	name Name
-	req  *request
-}
-
-// heldSet indexes one owner's granted requests by name: a small array for
-// the common case, spilling to a map once the owner exceeds heldSmallMax
-// locks (it never shrinks back; the owner is discarded at ReleaseAll). The
-// zero value is ready to use. Guarded by the owner's mu like the map it
-// replaces.
-type heldSet struct {
-	arr [heldSmallMax]heldEntry // inline: no allocation for small owners
-	n   int
-	m   map[Name]*request // nil until spill
-}
-
-func (hs *heldSet) get(name Name) (*request, bool) {
-	if hs.m != nil {
-		r, ok := hs.m[name]
-		return r, ok
-	}
-	for i := 0; i < hs.n; i++ {
-		if hs.arr[i].name == name {
-			return hs.arr[i].req, true
-		}
-	}
-	return nil, false
-}
-
-func (hs *heldSet) set(name Name, r *request) {
-	if hs.m != nil {
-		hs.m[name] = r
-		return
-	}
-	for i := 0; i < hs.n; i++ {
-		if hs.arr[i].name == name {
-			hs.arr[i].req = r
-			return
-		}
-	}
-	if hs.n < heldSmallMax {
-		hs.arr[hs.n] = heldEntry{name, r}
-		hs.n++
-		return
-	}
-	hs.m = make(map[Name]*request, 2*heldSmallMax)
-	for i := 0; i < hs.n; i++ {
-		hs.m[hs.arr[i].name] = hs.arr[i].req
-	}
-	hs.n = 0
-	hs.m[name] = r
-}
-
-func (hs *heldSet) del(name Name) {
-	if hs.m != nil {
-		delete(hs.m, name)
-		return
-	}
-	for i := 0; i < hs.n; i++ {
-		if hs.arr[i].name == name {
-			hs.n--
-			hs.arr[i] = hs.arr[hs.n]
-			hs.arr[hs.n] = heldEntry{}
-			return
-		}
-	}
-}
-
-// each calls f for every (name, request) pair. f must not mutate the set.
-func (hs *heldSet) each(f func(Name, *request)) {
-	if hs.m != nil {
-		for n, r := range hs.m {
-			f(n, r)
-		}
-		return
-	}
-	for i := 0; i < hs.n; i++ {
-		f(hs.arr[i].name, hs.arr[i].req)
-	}
-}
+// heldInlineSlots is the size of the held index's inline first segment: an
+// owner holding up to three quarters of it (12 locks) allocates nothing for
+// the index, pooled or not. heldKeepSlots is the largest held array a
+// pooled owner keeps between transactions; ownerTablesInline is the number
+// of tables an owner tracks before its per-table array moves to the heap.
+const (
+	heldInlineSlots   = 16
+	heldKeepSlots     = 256
+	ownerTablesInline = 8 // TPC-C's new-order touches eight tables
+)
 
 // ID returns the owner (transaction) identifier.
 func (o *Owner) ID() uint64 { return o.id }
@@ -636,99 +567,15 @@ func (o *Owner) ID() uint64 { return o.id }
 // App returns the owning application.
 func (o *Owner) App() *App { return o.app }
 
-// rowsSmallMax is the number of row locks an ownerTable indexes inline
-// before spilling to a map — the same small-case trick as heldSet, so a
-// short transaction's per-table row index costs zero allocations.
-const rowsSmallMax = 8
-
-type rowEntry struct {
-	row uint64
-	r   *request
-}
-
-// ownerTable tracks one owner's locks on one table, for coverage checks and
-// escalation victim selection. Entries are kept (empty) after their last
-// lock is released so churning transactions reuse the index. Access only
-// through the row methods; the representation spills from the inline array
-// to a map past rowsSmallMax rows.
+// ownerTable is one owner's footprint on one table: its table lock, for
+// coverage checks, and how many row locks and row-lock structures it holds
+// there, for escalation victim selection. The rows themselves are in held.
+// Entries are kept (empty) after their last lock is released.
 type ownerTable struct {
-	tableReq   *request
+	tid        uint32
+	nRows      int32
 	rowStructs int
-	nRows      int
-	rowsArr    [rowsSmallMax]rowEntry
-	rowsMap    map[uint64]*request // nil until spill
-}
-
-func (ot *ownerTable) rowCount() int {
-	if ot.rowsMap != nil {
-		return len(ot.rowsMap)
-	}
-	return ot.nRows
-}
-
-func (ot *ownerTable) getRow(row uint64) (*request, bool) {
-	if ot.rowsMap != nil {
-		r, ok := ot.rowsMap[row]
-		return r, ok
-	}
-	for i := 0; i < ot.nRows; i++ {
-		if ot.rowsArr[i].row == row {
-			return ot.rowsArr[i].r, true
-		}
-	}
-	return nil, false
-}
-
-func (ot *ownerTable) setRow(row uint64, r *request) {
-	if ot.rowsMap != nil {
-		ot.rowsMap[row] = r
-		return
-	}
-	for i := 0; i < ot.nRows; i++ {
-		if ot.rowsArr[i].row == row {
-			ot.rowsArr[i].r = r
-			return
-		}
-	}
-	if ot.nRows < rowsSmallMax {
-		ot.rowsArr[ot.nRows] = rowEntry{row, r}
-		ot.nRows++
-		return
-	}
-	ot.rowsMap = make(map[uint64]*request, 2*rowsSmallMax)
-	for i := 0; i < ot.nRows; i++ {
-		ot.rowsMap[ot.rowsArr[i].row] = ot.rowsArr[i].r
-	}
-	ot.nRows = 0
-	ot.rowsMap[row] = r
-}
-
-func (ot *ownerTable) delRow(row uint64) {
-	if ot.rowsMap != nil {
-		delete(ot.rowsMap, row)
-		return
-	}
-	for i := 0; i < ot.nRows; i++ {
-		if ot.rowsArr[i].row == row {
-			ot.nRows--
-			ot.rowsArr[i] = ot.rowsArr[ot.nRows]
-			ot.rowsArr[ot.nRows] = rowEntry{}
-			return
-		}
-	}
-}
-
-// eachRow calls f for every (row, request) pair. f must not mutate the set.
-func (ot *ownerTable) eachRow(f func(uint64, *request)) {
-	if ot.rowsMap != nil {
-		for row, r := range ot.rowsMap {
-			f(row, r)
-		}
-		return
-	}
-	for i := 0; i < ot.nRows; i++ {
-		f(ot.rowsArr[i].row, ot.rowsArr[i].r)
-	}
+	tableReq   *request
 }
 
 // request is one (owner, name) lock request: granted or waiting.
@@ -736,6 +583,7 @@ type request struct {
 	owner  *Owner
 	header *lockHeader
 	name   Name
+	hash   uint64 // hashName(name): shard routing and every index probe reuse it
 
 	mode    Mode // granted mode, or requested mode while waiting
 	convert Mode // conversion target while a granted request waits to convert
@@ -987,8 +835,8 @@ type shard struct {
 	// s.mu.Unlock() remains correct everywhere a paired unlockShard is
 	// not wanted (runGlobal's descending sweep, deadlock validation).
 	mu      latch.Latch
-	idx     int // position in Manager.shards; set once at New
-	table   map[Name]*lockHeader
+	idx     int                         // position in Manager.shards; set once at New
+	table   flathash.Table[*lockHeader] // by hashName(name)
 	waiting map[*request]struct{}
 
 	// Latch-profile sampling state, guarded by mu: latchTick advances on
@@ -1055,8 +903,8 @@ type shard struct {
 	relStorm atomic.Int32
 
 	// relInline is the drain scratch for the admission path's piggyback
-	// drain (drainStagedInline). Latch-protected, like the table map, so
-	// the per-acquire drain allocates nothing.
+	// drain (drainStagedInline). Latch-protected, like the table, so the
+	// per-acquire drain allocates nothing.
 	relInline releaseDrain
 
 	// seq stamps the shard's published summary: it is bumped (under mu)
@@ -1286,6 +1134,14 @@ type Manager struct {
 	latchSampleMask uint64
 
 	stats statCounters
+
+	// preEnqueueHook, when non-nil, runs right before an admission enqueues
+	// a waiter or converter (shard latch held in fast mode, every latch in
+	// global mode; o.mu dropped) — inside the window between startRequest's
+	// entry drain and the waiting-set store. Two tests set it, before any
+	// concurrent use of the manager, to interleave a staged release into
+	// that window; nothing else does.
+	preEnqueueHook func()
 }
 
 // defaultShards picks the shard count for Config.Shards == 0: enough
@@ -1373,7 +1229,6 @@ func New(cfg Config) *Manager {
 		case cfg.LatchSpin < 0:
 			s.mu.SetFixedBudget(0)
 		}
-		s.table = make(map[Name]*lockHeader)
 		s.waiting = make(map[*request]struct{})
 		s.pool = m.chain.NewPool(cfg.LeaseChunk)
 		s.relCond = sync.NewCond(&s.relMu)
@@ -1409,8 +1264,9 @@ func (m *Manager) shardFor(name Name) *shard {
 
 // lockShard latches shard i, counting every acquisition (latchAcqs) and
 // contended acquisitions (latchWaits) separately. The unconditional count
-// is one uncontended atomic add on a shard-padded counter; it is what lets
-// tests and benchmarks prove how many latches an operation really took.
+// is one atomic add on the shard's own cache line (metrics.ShardCounters
+// pads each element to one); it is what lets tests and benchmarks prove how
+// many latches an operation really took.
 func (m *Manager) lockShard(i int) *shard {
 	s := &m.shards[i]
 	m.latchAcqs.Shard(i).Inc()
@@ -1613,6 +1469,8 @@ func (m *Manager) NewOwner(a *App) *Owner {
 	o, _ := m.ownerPool.Get().(*Owner)
 	if o == nil {
 		o = &Owner{}
+		o.held.Reset(o.heldSeg[:])
+		o.tables = o.tables0[:0]
 		if ns := len(m.shards); ns > 64 {
 			o.touchedHi = make([]uint64, (ns+63)/64-1)
 		}
@@ -1706,6 +1564,7 @@ func (m *Manager) acquireAsync(o *Owner, name Name, mode Mode, weight int, recyc
 	req := &box.req
 	req.owner = o
 	req.name = name
+	req.hash = hash
 	req.mode = mode
 	req.weight = weight
 	req.pending = &box.pend
@@ -1828,7 +1687,7 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 			return true
 		}
 	}
-	cur, isHeld := o.held.get(name)
+	cur, isHeld := o.heldGet(req.hash, name)
 
 	// Conversion: the owner already holds this lock. cur is homed in this
 	// very shard, so its queue state is stable under the latch we hold.
@@ -1881,7 +1740,7 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 			return true // pipeline completed the pending (denied/parked)
 		default:
 		}
-		h := s.headerFor(name)
+		h := s.headerFor(req.hash, name)
 		m.sealFast(h)
 		if len(h.converters) == 0 && len(h.waiters) == 0 && Compatible(req.mode, h.groupMode) {
 			m.installGranted(h, req)
@@ -1913,7 +1772,7 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 	}
 	req.handle = hdl
 	app.structs.Add(int64(req.weight))
-	h := s.headerFor(name)
+	h := s.headerFor(req.hash, name)
 	// Sealing under o.mu is deadlock-free: fast-path operations always take
 	// o.mu *before* spinning for the word lock, and a word-lock holder never
 	// blocks, so this spin terminates (see fastpath.go, "Lock ordering").
@@ -1929,13 +1788,6 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 	m.enqueueWaiter(s, si, h, req)
 	return true
 }
-
-// testHookPreEnqueue, when non-nil, runs right before an admission
-// enqueues a waiter or converter (shard latch held in fast mode, every
-// latch in global mode; o.mu dropped) — inside the window between
-// startRequest's entry drain and the waiting-set store. Tests use it to
-// interleave a staged release into that window; always nil outside tests.
-var testHookPreEnqueue func(m *Manager, si int)
 
 // enqueueWaiter queues req on h's waiter list and registers it in the
 // shard's waiting set. Caller holds the shard latch (and every other
@@ -1954,8 +1806,8 @@ var testHookPreEnqueue func(m *Manager, si int)
 // flushes, or the re-check sees the batch and drains it under the latch
 // already held — symmetric with the entry check in startRequest.
 func (m *Manager) enqueueWaiter(s *shard, si int, h *lockHeader, req *request) {
-	if testHookPreEnqueue != nil {
-		testHookPreEnqueue(m, si)
+	if m.preEnqueueHook != nil {
+		m.preEnqueueHook()
 	}
 	m.beginWait(req)
 	h.waiters = append(h.waiters, req)
@@ -2003,8 +1855,8 @@ func (m *Manager) startConversion(cur *request, target Mode, p *Pending, onGrant
 		m.settleFast(s, h)
 		return
 	}
-	if testHookPreEnqueue != nil {
-		testHookPreEnqueue(m, si)
+	if m.preEnqueueHook != nil {
+		m.preEnqueueHook()
 	}
 	m.beginWait(cur)
 	h.converters = append(h.converters, cur)
@@ -2225,20 +2077,27 @@ func (m *Manager) invalidateQuotaCache() {
 	m.quotaNext.Store(0)
 }
 
+// header returns the lock table entry for name, whose hashName is hash, or
+// nil. Caller holds the shard latch.
+func (s *shard) header(hash uint64, name Name) *lockHeader {
+	h, _ := s.table.Find(hash, func(h *lockHeader) bool { return h.name == name })
+	return h
+}
+
 // headerFor returns (creating if necessary) the lock table entry for name,
 // recycling headers from the shard's freelist. Caller holds the shard latch.
-func (s *shard) headerFor(name Name) *lockHeader {
-	h, ok := s.table[name]
-	if !ok {
+func (s *shard) headerFor(hash uint64, name Name) *lockHeader {
+	h := s.header(hash, name)
+	if h == nil {
 		if n := len(s.hfree); n > 0 {
 			h = s.hfree[n-1]
 			s.hfree[n-1] = nil
 			s.hfree = s.hfree[:n-1]
-			h.name = name
 		} else {
-			h = &lockHeader{name: name}
+			h = &lockHeader{}
 		}
-		s.table[name] = h
+		h.name = name
+		s.table.Insert(hash, h)
 		s.syncTableMirror()
 	}
 	return h
@@ -2262,12 +2121,16 @@ func (m *Manager) installGrantedLocked(h *lockHeader, req *request) {
 	h.groupMode = Supremum(h.groupMode, req.mode)
 	o := req.owner
 	req.granted = true
-	o.held.set(req.name, req)
-	ot := o.tableOrCreate(req.name.Table)
+	o.held.Insert(req.hash, req)
+	o.tableOrCreate(req.name.Table).add(req)
+}
+
+// add counts a newly granted request into the owner's per-table entry.
+func (ot *ownerTable) add(req *request) {
 	if req.name.Gran == GranTable {
 		ot.tableReq = req
 	} else {
-		ot.setRow(req.name.Row, req)
+		ot.nRows++
 		ot.rowStructs += req.weight
 	}
 }
@@ -2442,7 +2305,7 @@ func (s *shard) cacheOrEvictDeferred(h *lockHeader) bool {
 		// every popped culled waiter has re-entered admission.
 		return false
 	}
-	delete(s.table, h.name)
+	s.table.Delete(hashName(h.name), h)
 	// Canonicalize before recycling (or dropping): settleFast on an evicted
 	// header must see ModeNone and publish nothing.
 	h.groupMode = ModeNone
@@ -2460,7 +2323,7 @@ func (s *shard) cacheOrEvictDeferred(h *lockHeader) bool {
 // CheckInvariants verifies the mirror is exact whenever no latch section
 // is in flight.
 func (s *shard) syncTableMirror() {
-	s.nLocks.Store(int64(len(s.table)))
+	s.nLocks.Store(int64(s.table.Len()))
 	s.seq.Add(1)
 }
 
@@ -2525,17 +2388,14 @@ func (m *Manager) releaseGranted(req *request) {
 // holds the home shard latch and req.owner.mu.
 func (m *Manager) releaseOwnerStateLocked(req *request) {
 	o := req.owner
-	o.held.del(req.name)
+	o.held.Delete(req.hash, req)
 	if ot := o.tableFor(req.name.Table); ot != nil {
 		if req.name.Gran == GranTable {
 			ot.tableReq = nil
 		} else {
-			ot.delRow(req.name.Row)
+			ot.nRows--
 			ot.rowStructs -= req.weight
 		}
-		// The (now possibly empty) ownerTable entry is kept: a
-		// transaction cycling locks on the same table reuses it and its
-		// row index instead of reallocating both every time.
 	}
 	req.granted = false
 }
@@ -2571,16 +2431,17 @@ func (m *Manager) finishRelease(s *shard, req *request) {
 // Strict 2PL callers use ReleaseAll instead; Release supports weaker
 // isolation (e.g. cursor-stability read locks released at fetch).
 func (m *Manager) Release(o *Owner, name Name) error {
-	si := m.shardOf(name)
+	hash := hashName(name)
+	si := int(hash & m.shardMask)
 	// Symmetric fast path: a fast-granted IS/S/IX hold on a published
 	// header releases by CAS decrement, deferring header reclamation to the
 	// latched path (the emptied header stays resident and admitting).
-	if m.shards[si].fastPublishedN.Load() > 0 && m.tryFastRelease(o, name, si) {
+	if m.shards[si].fastPublishedN.Load() > 0 && m.tryFastRelease(o, name, hash, si) {
 		return nil
 	}
 	s := m.lockShard(si)
 	o.mu.Lock()
-	req, ok := o.held.get(name)
+	req, ok := o.heldGet(hash, name)
 	if !ok {
 		o.mu.Unlock()
 		m.unlockShard(s)
@@ -2640,7 +2501,7 @@ func (m *Manager) cancel(o *Owner, name Name) {
 // global two-pass order the full sweep used to provide is unobservable once
 // o.released is set: the owner issues no new requests (so its own coverage
 // checks never run again), other owners' coverage checks read only their
-// own byTable state, and escalation victim selection runs only for owners
+// own tables entries, and escalation victim selection runs only for owners
 // requesting locks. Invariant checks are order-independent — they hold at
 // every latch release. TestReleaseOrderRowsBeforeTables pins the per-shard
 // ordering choice.
@@ -2832,19 +2693,12 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 }
 
 // resetForReuse returns the owner to its zero state (keeping the sized
-// touchedHi spill) so NewOwner can hand it to a fresh transaction. The
-// inline arrays are cleared in full — swap-remove deletion and map spills
-// can leave stale entries past the live prefix, and a recycled owner must
-// not pin dead requests.
+// touchedHi spill and a modest held array) so NewOwner can hand it to a
+// fresh transaction.
 func (o *Owner) resetForReuse() {
 	o.app = nil
-	o.held.arr = [heldSmallMax]heldEntry{}
-	o.held.n = 0
-	o.held.m = nil
+	o.clearIndexes()
 	o.released = false
-	o.ot0used, o.ot0tid = false, 0
-	o.ot0.reset()
-	o.byTable = nil
 	o.touched0 = 0
 	for i := range o.touchedHi {
 		o.touchedHi[i] = 0
@@ -2853,15 +2707,6 @@ func (o *Owner) resetForReuse() {
 	o.obsTick = 0
 	o.stagedRefs.Store(0)
 	o.recycleOnZero = false
-}
-
-// reset clears a per-table index for owner reuse.
-func (ot *ownerTable) reset() {
-	ot.tableReq = nil
-	ot.rowStructs = 0
-	ot.nRows = 0
-	ot.rowsArr = [rowsSmallMax]rowEntry{}
-	ot.rowsMap = nil
 }
 
 // releaseEntry is one held lock queued for release: the name is a copy, so
@@ -2902,7 +2747,13 @@ type releaseBatch struct {
 
 var releaseBatchPool = sync.Pool{New: func() any { return new(releaseBatch) }}
 
+// reset empties the batch, keeping its slices' capacity but not their
+// contents: a batch outlives its walk (owner scratch, arsenal slot or pool),
+// and a stale entry would keep its request — and through a never-recycled
+// request its owner, and that owner's scratch in turn — from being collected.
 func (b *releaseBatch) reset() {
+	clear(b.rows)
+	clear(b.tables)
 	b.rows = b.rows[:0]
 	b.tables = b.tables[:0]
 	b.shards = [maxShardWords]uint64{}
@@ -2923,8 +2774,9 @@ func (b *releaseBatch) hasShard(si int) bool {
 
 // collect buckets every held lock. Caller holds o.mu.
 func (b *releaseBatch) collect(m *Manager, o *Owner) {
-	o.held.each(func(name Name, r *request) {
-		b.add(m.shardOf(name), name, r)
+	o.held.Each(func(r *request) bool {
+		b.add(int(r.hash&m.shardMask), r.name, r)
+		return true
 	})
 }
 
@@ -2940,23 +2792,17 @@ func (b *releaseBatch) collect(m *Manager, o *Owner) {
 // a latched drain applies the batch); only the owner-side view is gone.
 func (b *releaseBatch) collectDetach(m *Manager, o *Owner) {
 	b.collect(m, o)
-	for i := 0; i < o.held.n && i < heldSmallMax; i++ {
-		o.held.arr[i] = heldEntry{}
-	}
-	o.held.n = 0
-	o.held.m = nil
-	o.ot0used, o.ot0tid = false, 0
-	o.ot0.reset()
-	o.byTable = nil
+	o.clearIndexes()
 }
 
 // collectShard buckets the held locks homed in shard si. Caller holds
 // o.mu (and the shard latch, so the filtered view stays accurate).
 func (b *releaseBatch) collectShard(m *Manager, o *Owner, si int) {
-	o.held.each(func(name Name, r *request) {
-		if m.shardOf(name) == si {
-			b.add(si, name, r)
+	o.held.Each(func(r *request) bool {
+		if int(r.hash&m.shardMask) == si {
+			b.add(si, r.name, r)
 		}
+		return true
 	})
 }
 
@@ -3000,7 +2846,7 @@ func (m *Manager) releaseShardPhase1(s *shard, si int, o *Owner, b *releaseBatch
 				// decides; only a match proves e.req is still this
 				// owner's request (and therefore not recycled), making
 				// its fields safe to touch.
-				if cur, ok := o.held.get(e.name); !ok || cur != e.req || !e.req.granted {
+				if cur, ok := o.heldGet(hashName(e.name), e.name); !ok || cur != e.req || !e.req.granted {
 					continue
 				}
 				m.releaseOwnerStateLocked(e.req)
@@ -3093,10 +2939,13 @@ func (m *Manager) releaseShardPhase1(s *shard, si int, o *Owner, b *releaseBatch
 		if r.recyclable && !r.everQueued {
 			if len(s.rfree) < boxFreelistCap {
 				s.pushBox(r.box)
-			} else {
+			} else if len(live) <= boxFreelistCap {
 				// Shard cache full: feed the latch-free grant path's pool
 				// instead of the garbage collector. Same ownership contract
-				// as pushBox; boxes enter the pool zeroed.
+				// as pushBox; boxes enter the pool zeroed. A scan's worth of
+				// boxes goes to the collector instead: nothing draws that
+				// many, and a program that allocates as little as the commit
+				// path now does collects too rarely to empty the pool itself.
 				b := r.box
 				b.req = request{}
 				b.pend.reset()
@@ -3104,6 +2953,7 @@ func (m *Manager) releaseShardPhase1(s *shard, si int, o *Owner, b *releaseBatch
 			}
 		}
 	}
+	clear(live)
 	b.live = live[:0]
 }
 
@@ -3343,10 +3193,11 @@ func (m *Manager) Stats() Stats {
 
 // HeldMode returns the mode the owner currently holds on name, or ModeNone.
 func (m *Manager) HeldMode(o *Owner, name Name) Mode {
-	s := m.lockShard(m.shardOf(name))
+	hash := hashName(name)
+	s := m.lockShard(int(hash & m.shardMask))
 	defer m.unlockShard(s)
 	o.mu.Lock()
-	req, ok := o.held.get(name)
+	req, ok := o.heldGet(hash, name)
 	o.mu.Unlock()
 	if ok && req.granted {
 		return req.mode

@@ -172,7 +172,7 @@ func TestOptimisticSeqWraparound(t *testing.T) {
 	name := TableName(41)
 	publishTable(t, m, app, name)
 
-	h := m.shardFor(name).table[name]
+	h := m.shardFor(name).header(hashName(name), name)
 	if h == nil || !h.published {
 		t.Fatal("header not published")
 	}
@@ -227,7 +227,7 @@ func TestCheckInvariantsCatchesEpochDesync(t *testing.T) {
 	name := TableName(51)
 	publishTable(t, m, app, name)
 
-	h := m.shardFor(name).table[name]
+	h := m.shardFor(name).header(hashName(name), name)
 	h.epoch.Add(1) // desync: no matching word-seq bump
 	if err := m.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants accepted a desynced epoch")

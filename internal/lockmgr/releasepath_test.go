@@ -475,7 +475,7 @@ func TestFinishOwnerRecycling(t *testing.T) {
 			t.Fatalf("round %d: owner id %d not monotonic (last %d)", round, o.id, lastID)
 		}
 		lastID = o.id
-		if o.released || o.held.n != 0 || o.held.m != nil || o.touched0 != 0 || o.ot0used || o.everWaited {
+		if o.released || o.held.Len() != 0 || o.held.Slots() > heldKeepSlots || o.touched0 != 0 || len(o.tables) != 0 || o.everWaited {
 			t.Fatalf("round %d: recycled owner not reset: %+v", round, o)
 		}
 		for l := 0; l < 5; l++ {

@@ -93,8 +93,8 @@ func (m *Manager) maybeCull(s *shard, si int, req *request) bool {
 		// regain its deadlock-graph edges.
 		return false
 	}
-	h, ok := s.table[req.name]
-	if !ok {
+	h := s.header(req.hash, req.name)
+	if h == nil {
 		// No header means no contention on this name: a quiet lock is
 		// never culled (it will be granted, not queued).
 		return false

@@ -79,12 +79,20 @@ func (g *MaxGauge) Reset() int64 { return g.v.Swap(0) }
 
 // ShardCounters is a fixed-width array of counters, one per shard of a
 // striped data structure (e.g. the lock manager's latch-wait counts). Each
-// shard increments its own cache line-distant counter; readers aggregate
-// with Total or inspect the distribution with Values. All methods are safe
-// for concurrent use.
+// shard's counter is padded to a cache line of its own, so sessions working
+// in different shards never write the same line; readers aggregate with
+// Total or inspect the distribution with Values. All methods are safe for
+// concurrent use.
 type ShardCounters struct {
 	name string
-	cs   []Counter
+	cs   []paddedCounter
+}
+
+// paddedCounter is a Counter alone on a 64-byte cache line. Counter itself
+// stays eight bytes for users that embed one next to the data it counts.
+type paddedCounter struct {
+	Counter
+	_ [56]byte
 }
 
 // NewShardCounters creates a counter per shard. shards must be positive.
@@ -92,7 +100,7 @@ func NewShardCounters(name string, shards int) *ShardCounters {
 	if shards < 1 {
 		shards = 1
 	}
-	return &ShardCounters{name: name, cs: make([]Counter, shards)}
+	return &ShardCounters{name: name, cs: make([]paddedCounter, shards)}
 }
 
 // Name returns the collection's name.
@@ -102,7 +110,7 @@ func (s *ShardCounters) Name() string { return s.name }
 func (s *ShardCounters) Len() int { return len(s.cs) }
 
 // Shard returns the counter for one shard.
-func (s *ShardCounters) Shard(i int) *Counter { return &s.cs[i] }
+func (s *ShardCounters) Shard(i int) *Counter { return &s.cs[i].Counter }
 
 // Total returns the sum across all shards.
 func (s *ShardCounters) Total() int64 {

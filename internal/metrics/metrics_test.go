@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -42,6 +43,29 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != 16000 {
 		t.Fatalf("counter = %d, want 16000", got)
+	}
+}
+
+// TestShardCountersOwnCacheLines pins the layout the type's comment
+// promises: neighbouring shards' counters are a cache line apart, while a
+// bare Counter stays eight bytes.
+func TestShardCountersOwnCacheLines(t *testing.T) {
+	sc := NewShardCounters("x", 8)
+	for i := 0; i < sc.Len(); i++ {
+		sc.Shard(i).Add(int64(i + 1))
+	}
+	if got := sc.Total(); got != 36 {
+		t.Fatalf("Total = %d, want 36", got)
+	}
+	if vals := sc.Values(); vals[0] != 1 || vals[7] != 8 {
+		t.Fatalf("Values = %v", vals)
+	}
+	a, b := uintptr(unsafe.Pointer(sc.Shard(0))), uintptr(unsafe.Pointer(sc.Shard(1)))
+	if b-a != 64 {
+		t.Fatalf("adjacent shard counters %d bytes apart, want a 64-byte cache line", b-a)
+	}
+	if sz := unsafe.Sizeof(Counter{}); sz != 8 {
+		t.Fatalf("Counter is %d bytes, want 8", sz)
 	}
 }
 
