@@ -112,7 +112,7 @@ bench-latch:
 # bench-throttle runs the admission-throttle collapse-curve A/B: one hot
 # exclusive lock swept over g=16..256 with the control plane (timeout
 # sweep, deadlock detector, throttle retune) ticking concurrently.
-# BENCH_THROTTLE_BASELINE.json is the throttle-off leg (THROTTLE=0): past
+# BENCH_THROTTLE_BASELINE.json is the throttle-off leg (THROTTLE=-1): past
 # the knee, each grant pays FIFO removal, wakeup fan-out, and wait-graph
 # export proportional to the live queue, and throughput collapses.
 # BENCH_THROTTLE_LIMITED.json is the fixed-ceiling leg (THROTTLE=8): the
@@ -121,7 +121,7 @@ bench-latch:
 # legs work-for-work comparable; benchdiff -pct gates regressions.
 bench-throttle:
 	rm -f BENCH_THROTTLE_BASELINE.json BENCH_THROTTLE_LIMITED.json
-	BENCH_JSON=BENCH_THROTTLE_BASELINE.json THROTTLE=0 \
+	BENCH_JSON=BENCH_THROTTLE_BASELINE.json THROTTLE=-1 \
 		$(GO) test -run xxx -bench BenchmarkHotkeySweep -benchtime 20000x .
 	BENCH_JSON=BENCH_THROTTLE_LIMITED.json THROTTLE=8 \
 		$(GO) test -run xxx -bench BenchmarkHotkeySweep -benchtime 20000x .
@@ -153,8 +153,10 @@ smoke-commit:
 # smoke-profile runs the workbench commitstorm (hot-key) workload with the
 # HTTP surface up and curls the contention profiler mid-run: /debug/hotlocks
 # must serve a non-empty top-K (a "name" field proves at least one tracked
-# hot lock) and /debug/waiters must have observed a wait edge ("holder"
-# proves a live blocked-on row). The run then prints the -profile report.
+# hot lock), /debug/waiters must have observed a wait edge ("holder"
+# proves a live blocked-on row), and /debug/flight must serve a wait record
+# rendered to text (a "Detail" with depth= proves the flight recorder's
+# format-on-read reaches HTTP). The run then prints the -profile report.
 smoke-profile: build
 	@set -e; \
 	$(GO) run ./cmd/workbench -workload commitstorm -clients 64 -ticks 2500 \
@@ -164,12 +166,13 @@ smoke-profile: build
 	for i in $$(seq 1 40); do \
 		sleep 0.5; \
 		if curl -sf http://127.0.0.1:8373/debug/hotlocks | grep -q '"name"' \
-		&& curl -sf http://127.0.0.1:8373/debug/waiters | grep -q '"holder"'; then \
+		&& curl -sf http://127.0.0.1:8373/debug/waiters | grep -q '"holder"' \
+		&& curl -sf 'http://127.0.0.1:8373/debug/flight?last=50' | grep -q '"Detail": *"[^"]*depth='; then \
 			ok=1; break; \
 		fi; \
 	done; \
-	if [ -z "$$ok" ]; then echo "smoke-profile: no hot lock + wait edge observed"; kill $$pid 2>/dev/null; exit 1; fi; \
-	echo "smoke-profile: hot locks + wait edges OK"; \
+	if [ -z "$$ok" ]; then echo "smoke-profile: no hot lock + wait edge + flight wait observed"; kill $$pid 2>/dev/null; exit 1; fi; \
+	echo "smoke-profile: hot locks + wait edges + flight waits OK"; \
 	wait $$pid
 
 # smoke-latch runs the workbench commitstorm workload with the HTTP

@@ -71,10 +71,10 @@ func main() {
 			"workload shape: oltp | readmostly (90% S/IS on a shared hot set, 10% X — the latch-free admission regime) | dss (≥99% S reporting scans over a shared hot set — the zero-CAS optimistic regime) | commitstorm (short X transactions confined to a few hot shards — the group-release regime)")
 		minCoalesced = flag.Int64("min-coalesced", -1,
 			"exit 1 unless the run coalesced at least this many grant wakeups (-1 disables; smoke-test hook)")
-		latchSpin = flag.Int("latch-spin", -1,
-			"shard-latch spin budget: -1 = adaptive controller, 0 = park immediately, n>0 = fixed budget")
-		throttle = flag.Int("throttle", -1,
-			"admission-throttle concurrency ceiling: -1 = adaptive controller, 0 = disabled, n>0 = fixed ceiling")
+		latchSpin = flag.Int("latch-spin", 0,
+			"shard-latch spin budget: 0 = adaptive controller, <0 = park immediately, n>0 = fixed budget")
+		throttle = flag.Int("throttle", 0,
+			"admission-throttle concurrency ceiling: 0 = adaptive controller, <0 = disabled, n>0 = fixed ceiling")
 		readonly = flag.Bool("readonly", false,
 			"run dss scans as readonly transactions (optimistic tokens validated at commit; dss workload only)")
 		profile  = flag.Bool("profile", false, "print the contention-profiler report (top-10 hot locks, wait chains, latch profile) in the final summary")
@@ -108,25 +108,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Flag convention (-1 adaptive, 0 park-immediately, n>0 fixed) maps onto
-	// lockmgr's Config.LatchSpin encoding (0 adaptive, <0 park, >0 fixed).
-	spinCfg := 0
-	switch {
-	case *latchSpin == 0:
-		spinCfg = -1
-	case *latchSpin > 0:
-		spinCfg = *latchSpin
-	}
-	// Same convention for the admission throttle: -1 adaptive, 0 off,
-	// n>0 fixed, mapped onto Config.Throttle (0 adaptive, <0 off, >0 fixed).
-	throttleCfg := 0
-	switch {
-	case *throttle == 0:
-		throttleCfg = -1
-	case *throttle > 0:
-		throttleCfg = *throttle
-	}
-
 	clk := clock.NewSim()
 	db, err := engine.Open(engine.Config{
 		DatabasePages:    *dbMB * 256, // 256 pages per MB
@@ -135,8 +116,8 @@ func main() {
 		StaticQuotaPct:   *maxlocks,
 		Clock:            clk,
 		LockTimeout:      60 * time.Second,
-		LatchSpin:        spinCfg,
-		Throttle:         throttleCfg,
+		LatchSpin:        *latchSpin,
+		Throttle:         *throttle,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "workbench: %v\n", err)

@@ -394,16 +394,20 @@ func (l *Latch) park() {
 	// and skips both the park and the wakeup requeue latency a signalled
 	// waiter pays. The win counts as a spin hit (contended acquire, no
 	// park) but stays out of the winTries/winWins window: the budget
-	// controller's success rate must reflect budgeted spinning only.
-	runtime.Gosched()
-	for {
-		w := l.word.Load()
-		if w&lockedBit != 0 {
-			break
-		}
-		if l.word.CompareAndSwap(w, w|lockedBit) {
-			l.spinHits.Add(1)
-			return
+	// controller's success rate must reflect budgeted spinning only. A
+	// latch pinned to a zero budget skips the tier: "park immediately" is
+	// the pure condition-variable control, so it must never record a hit.
+	if !l.fixed.Load() || l.budget.Load() > 0 {
+		runtime.Gosched()
+		for {
+			w := l.word.Load()
+			if w&lockedBit != 0 {
+				break
+			}
+			if l.word.CompareAndSwap(w, w|lockedBit) {
+				l.spinHits.Add(1)
+				return
+			}
 		}
 	}
 	l.parks.Add(1)

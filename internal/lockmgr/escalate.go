@@ -1,11 +1,5 @@
 package lockmgr
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-)
-
 // Lock escalation (paper sections 1 and 2.2): when lock memory is
 // constrained, or an application exceeds lockPercentPerApplication, the
 // manager promotes the application's row locks on one table to a single
@@ -82,8 +76,8 @@ func (m *Manager) escalate(o *Owner, parked *request) bool {
 	}
 	if m.flight != nil {
 		tn := tableReq.name
-		m.flightAdd(m.shardOf(tn), trace.KindEscalation, o.app.id,
-			fmt.Sprintf("%s to=%s owner=%d", tn, target, o.id))
+		m.flightRecord(m.shardOf(tn), m.clk.Now(), flightRec{kind: flightEscalation, app: o.app.id,
+			name: tn, mode: target, owner: o.id})
 	}
 
 	if parked != nil {

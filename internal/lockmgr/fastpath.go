@@ -87,7 +87,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // Grant-word field layout.
@@ -616,8 +615,8 @@ func (m *Manager) fastReleaseGated(o *Owner, name Name, hash uint64, si int, s *
 		m.holdHist.RecordStripe(si, held)
 		req.grantedAt = time.Time{}
 		if m.flight != nil {
-			m.flightAdd(si, trace.KindRelease, o.app.id,
-				fmt.Sprintf("%s mode=%s owner=%d held=%s (fast)", req.name, req.mode, o.id, time.Duration(held)))
+			m.flightRecord(si, m.clk.Now(), flightRec{kind: flightFastRelease, app: o.app.id,
+				name: req.name, mode: req.mode, owner: o.id, val: held})
 		}
 	}
 	h.removeGranted(o)

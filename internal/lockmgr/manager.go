@@ -122,7 +122,6 @@ import (
 	"repro/internal/memblock"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Errors returned to lock requesters.
@@ -1130,7 +1129,7 @@ type Manager struct {
 	// hook.
 	hot             *obs.HotSketch[Name]
 	latchProf       *obs.LatchProf
-	flight          []*trace.Ring
+	flight          *flightRecorder
 	latchSampleMask uint64
 
 	stats statCounters
@@ -1814,16 +1813,15 @@ func (m *Manager) enqueueWaiter(s *shard, si int, h *lockHeader, req *request) {
 	req.header = h
 	s.addWaiting(req)
 	// Contention-profiler hooks: charge the enqueue and record the queue
-	// depth high-water, then log the wait in the shard's flight ring. The
-	// requester is about to park, so the Sprintf is off every fast path.
+	// depth high-water, then log the wait in the shard's flight ring.
 	depth := len(h.converters) + len(h.waiters)
 	// The throttle controller's engage signal: track the deepest active
 	// queue this shard saw since the last retune window (throttle.go).
 	throtDepthMax(s, int32(depth))
 	m.hot.Observe(si, h.name, hotEventBlameNs, obs.HotQueueMax, int64(depth))
 	if m.flight != nil {
-		m.flightAdd(si, trace.KindWait, req.owner.app.id,
-			fmt.Sprintf("%s mode=%s owner=%d depth=%d", h.name, req.mode, req.owner.id, depth))
+		m.flightRecord(si, m.clk.Now(), flightRec{kind: flightWait, app: req.owner.app.id,
+			name: h.name, mode: req.mode, owner: req.owner.id, val: int64(depth)})
 	}
 	m.settleFast(s, h)
 	if s.relHead.Load() != nil {
@@ -1865,8 +1863,8 @@ func (m *Manager) startConversion(cur *request, target Mode, p *Pending, onGrant
 	depth := len(h.converters) + len(h.waiters)
 	m.hot.Observe(si, h.name, hotEventBlameNs, obs.HotQueueMax, int64(depth))
 	if m.flight != nil {
-		m.flightAdd(si, trace.KindWait, cur.owner.app.id,
-			fmt.Sprintf("%s convert=%s owner=%d depth=%d", h.name, target, cur.owner.id, depth))
+		m.flightRecord(si, m.clk.Now(), flightRec{kind: flightConvert, app: cur.owner.app.id,
+			name: h.name, mode: target, owner: cur.owner.id, val: int64(depth)})
 	}
 	m.settleFast(s, h)
 	// Same lost-trigger re-check as enqueueWaiter: a release staged during
@@ -2154,10 +2152,9 @@ func (m *Manager) grant(req *request) {
 func (m *Manager) grantDeferred(req *request, d *releaseDrain) {
 	m.stats.grants.Add(1)
 	if m.flight != nil && !req.waitStart.IsZero() {
-		si := m.shardOf(req.name)
-		m.flightAdd(si, trace.KindGrant, req.owner.app.id,
-			fmt.Sprintf("%s mode=%s owner=%d waited=%s",
-				req.name, req.effectiveMode(), req.owner.id, m.clk.Now().Sub(req.waitStart)))
+		now := m.clk.Now()
+		m.flightRecord(m.shardOf(req.name), now, flightRec{kind: flightGrant, app: req.owner.app.id,
+			name: req.name, mode: req.effectiveMode(), owner: req.owner.id, val: int64(now.Sub(req.waitStart))})
 	}
 	m.endWait(req)
 	if req.obsSampled {
@@ -2412,9 +2409,9 @@ func (m *Manager) finishRelease(s *shard, req *request) {
 		if m.flight != nil {
 			// Sampled (same 1/stride population as the hold histogram),
 			// so the flight ring sees a representative release stream
-			// without a Sprintf per commit.
-			m.flightAdd(m.shardOf(req.name), trace.KindRelease, req.owner.app.id,
-				fmt.Sprintf("%s mode=%s owner=%d held=%s", req.name, req.mode, req.owner.id, time.Duration(held)))
+			// without one record per commit.
+			m.flightRecord(m.shardOf(req.name), m.clk.Now(), flightRec{kind: flightRelease, app: req.owner.app.id,
+				name: req.name, mode: req.mode, owner: req.owner.id, val: held})
 		}
 	}
 	h := req.header

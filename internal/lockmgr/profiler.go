@@ -7,12 +7,22 @@
 // and latch hold times are sampled on a per-shard counter that advances
 // under the latch it measures, so the profiler adds no shared cache line
 // to any fast path.
+//
+// The flight recorder stores what happened, not how it reads: each event
+// is one fixed-size, pointer-free flightRec (clock ns, kind, app, lock
+// name, mode, owner, one int64 for depth / waited ns / held ns) copied
+// into its shard's ring under a leaf mutex. No string is built, nothing
+// is boxed and nothing allocates on the wait, grant or release path —
+// most of which runs under the shard latch. A record becomes
+// trace.Event.Detail text only when FlightEvents returns it.
 package lockmgr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -31,9 +41,10 @@ const (
 	// fallbacks carry no blame — every latched acquisition is a fallback,
 	// so their counter rides along on already-tracked keys only.
 	hotEventBlameNs = 1000
-	// flightRingCap is each shard's flight-recorder capacity. 256 events
-	// of recent grant/wait/release history per shard is an incident
-	// window, not an archive.
+	// flightRingCap is each shard's flight-recorder capacity (a power of
+	// two, so the ring's modulo compiles to a mask). 256 events of recent
+	// grant/wait/release history per shard is an incident window, not an
+	// archive.
 	flightRingCap = 256
 	// latchSampleStride samples one in 64 latch holds (power of two; the
 	// mask is stride−1).
@@ -51,9 +62,9 @@ func (m *Manager) initProfiler(cfg Config, ns int, wallStride int) {
 		return
 	}
 	m.hot = obs.NewHotSketch[Name](ns, hotSlotsPerStripe)
-	m.flight = make([]*trace.Ring, ns)
-	for i := range m.flight {
-		m.flight[i] = trace.NewRing(flightRingCap)
+	m.flight = &flightRecorder{
+		loc:   m.clk.Now().Location(),
+		rings: make([]flightRing, ns),
 	}
 	if wallStride > 0 {
 		m.latchProf = obs.NewLatchProf(ns)
@@ -67,35 +78,136 @@ func (m *Manager) hotObserve(si int, name Name, scoreDelta int64, metric int, de
 	m.hot.Observe(si, name, scoreDelta, metric, delta)
 }
 
-// flightAdd appends one event to shard si's flight ring, stamped on the
-// manager's clock. Callers guard with m.flight != nil before building the
-// detail string, so disabled profilers pay nothing.
-func (m *Manager) flightAdd(si int, k trace.Kind, appID int, detail string) {
-	if m.flight == nil {
-		return
+// flightKind is what a flight record logs. Each kind renders one fixed
+// detail format (flightRec.detail) and maps to one trace.Kind.
+type flightKind uint8
+
+const (
+	flightWait        flightKind = iota // queued; val = queue depth
+	flightConvert                       // queued conversion; mode = target, val = depth
+	flightCulled                        // culled by the throttle; val = depth incl. culled
+	flightGrant                         // granted after a wait; val = waited ns
+	flightRelease                       // sampled latched release; val = held ns
+	flightFastRelease                   // sampled fast-path release; val = held ns
+	flightEscalation                    // table escalation; mode = target
+)
+
+var flightTraceKind = [...]trace.Kind{
+	flightWait:        trace.KindWait,
+	flightConvert:     trace.KindWait,
+	flightCulled:      trace.KindWait,
+	flightGrant:       trace.KindGrant,
+	flightRelease:     trace.KindRelease,
+	flightFastRelease: trace.KindRelease,
+	flightEscalation:  trace.KindEscalation,
+}
+
+// flightRec is one flight-recorder event as stored. It holds no pointers,
+// so recording is a struct copy the garbage collector never scans.
+type flightRec struct {
+	ns    int64 // manager-clock timestamp, Unix ns
+	val   int64 // queue depth, waited ns or held ns, by kind
+	owner uint64
+	app   int
+	name  Name
+	kind  flightKind
+	mode  Mode
+}
+
+// detail renders r exactly as the event's Detail text.
+func (r *flightRec) detail() string {
+	switch r.kind {
+	case flightWait:
+		return fmt.Sprintf("%s mode=%s owner=%d depth=%d", r.name, r.mode, r.owner, r.val)
+	case flightConvert:
+		return fmt.Sprintf("%s convert=%s owner=%d depth=%d", r.name, r.mode, r.owner, r.val)
+	case flightCulled:
+		return fmt.Sprintf("%s mode=%s owner=%d culled depth=%d", r.name, r.mode, r.owner, r.val)
+	case flightGrant:
+		return fmt.Sprintf("%s mode=%s owner=%d waited=%s", r.name, r.mode, r.owner, time.Duration(r.val))
+	case flightRelease:
+		return fmt.Sprintf("%s mode=%s owner=%d held=%s", r.name, r.mode, r.owner, time.Duration(r.val))
+	case flightFastRelease:
+		return fmt.Sprintf("%s mode=%s owner=%d held=%s (fast)", r.name, r.mode, r.owner, time.Duration(r.val))
+	default: // flightEscalation
+		return fmt.Sprintf("%s to=%s owner=%d", r.name, r.mode, r.owner)
 	}
-	m.flight[si].Add(trace.Event{Time: m.clk.Now(), Kind: k, AppID: appID, Detail: detail})
+}
+
+// flightRecorder is the per-shard flight recorder. loc is the manager
+// clock's location, so timestamps read back as the clock reported them.
+type flightRecorder struct {
+	loc   *time.Location
+	rings []flightRing
+}
+
+// flightRing is one shard's ring of the last flightRingCap records. mu is
+// a leaf lock, uncontended in practice: every writer but the fast release
+// already holds the shard latch, and readers copy the ring out under mu
+// alone.
+type flightRing struct {
+	mu  sync.Mutex
+	n   uint64 // records ever added; the newest is buf[(n-1)%flightRingCap]
+	buf [flightRingCap]flightRec
+}
+
+// flightRecord stamps r with now (manager clock) and appends it to shard
+// si's ring, evicting the oldest record when full. Callers guard with
+// m.flight != nil, so a disabled profiler does not even read the clock.
+func (m *Manager) flightRecord(si int, now time.Time, r flightRec) {
+	r.ns = now.UnixNano()
+	ring := &m.flight.rings[si]
+	ring.mu.Lock()
+	ring.buf[ring.n%flightRingCap] = r
+	ring.n++
+	ring.mu.Unlock()
+}
+
+// appendTo appends the ring's retained records to dst, oldest first.
+func (ring *flightRing) appendTo(dst []flightRec) []flightRec {
+	ring.mu.Lock()
+	defer ring.mu.Unlock()
+	kept := min(ring.n, flightRingCap)
+	for i := ring.n - kept; i < ring.n; i++ {
+		dst = append(dst, ring.buf[i%flightRingCap])
+	}
+	return dst
 }
 
 // FlightEvents returns flight-recorder events, oldest first. shard ≥ 0
 // selects one shard's ring; negative merges every shard's retained window
 // into one time-ordered stream. last > 0 keeps only the most recent that
-// many events. Returns nil when the profiler is disabled.
+// many events. Only the returned events are rendered to text. Returns nil
+// when the profiler is disabled.
 func (m *Manager) FlightEvents(shard, last int) []trace.Event {
-	if m.flight == nil {
+	f := m.flight
+	if f == nil {
 		return nil
 	}
-	var evs []trace.Event
+	var recs []flightRec
 	if shard >= 0 {
-		evs = m.flight[uint64(shard)&m.shardMask].Events()
+		recs = f.rings[uint64(shard)&m.shardMask].appendTo(nil)
 	} else {
-		for _, r := range m.flight {
-			evs = append(evs, r.Events()...)
+		for i := range f.rings {
+			recs = f.rings[i].appendTo(recs)
 		}
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
+		if recs == nil {
+			return nil // an empty merged view serves JSON null, a shard's []
+		}
+		slices.SortStableFunc(recs, func(a, b flightRec) int { return cmp.Compare(a.ns, b.ns) })
 	}
-	if last > 0 && len(evs) > last {
-		evs = evs[len(evs)-last:]
+	if last > 0 && len(recs) > last {
+		recs = recs[len(recs)-last:]
+	}
+	evs := make([]trace.Event, len(recs))
+	for i := range recs {
+		r := &recs[i]
+		evs[i] = trace.Event{
+			Time:   time.Unix(0, r.ns).In(f.loc),
+			Kind:   flightTraceKind[r.kind],
+			AppID:  r.app,
+			Detail: r.detail(),
+		}
 	}
 	return evs
 }

@@ -1,6 +1,8 @@
 package lockmgr
 
 import (
+	"encoding/json"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -223,6 +225,144 @@ func TestFlightRecorder(t *testing.T) {
 	}
 	if total != len(evs) {
 		t.Fatalf("per-shard sum %d != merged %d", total, len(evs))
+	}
+}
+
+// TestFlightDetailFormats pins the Detail text each flight kind renders:
+// the records are formatted on read, and the text must stay exactly what
+// /debug/flight has always served.
+func TestFlightDetailFormats(t *testing.T) {
+	row, tbl := RowName(3, 7), TableName(5)
+	cases := []struct {
+		rec  flightRec
+		kind trace.Kind
+		want string
+	}{
+		{flightRec{kind: flightWait, name: row, mode: ModeS, owner: 7, val: 3},
+			trace.KindWait, "row(3.7) mode=S owner=7 depth=3"},
+		{flightRec{kind: flightConvert, name: row, mode: ModeX, owner: 7, val: 2},
+			trace.KindWait, "row(3.7) convert=X owner=7 depth=2"},
+		{flightRec{kind: flightCulled, name: row, mode: ModeU, owner: 9, val: 17},
+			trace.KindWait, "row(3.7) mode=U owner=9 culled depth=17"},
+		{flightRec{kind: flightGrant, name: row, mode: ModeX, owner: 7, val: int64(2500 * time.Microsecond)},
+			trace.KindGrant, "row(3.7) mode=X owner=7 waited=2.5ms"},
+		{flightRec{kind: flightRelease, name: tbl, mode: ModeIX, owner: 11, val: 1234},
+			trace.KindRelease, "table(5) mode=IX owner=11 held=1.234µs"},
+		{flightRec{kind: flightFastRelease, name: row, mode: ModeIS, owner: 11, val: 40},
+			trace.KindRelease, "row(3.7) mode=IS owner=11 held=40ns (fast)"},
+		{flightRec{kind: flightEscalation, name: tbl, mode: ModeSIX, owner: 4},
+			trace.KindEscalation, "table(5) to=SIX owner=4"},
+	}
+	for _, c := range cases {
+		if got := c.rec.detail(); got != c.want {
+			t.Errorf("kind %d: detail %q, want %q", c.rec.kind, got, c.want)
+		}
+		if got := flightTraceKind[c.rec.kind]; got != c.kind {
+			t.Errorf("kind %d: trace kind %v, want %v", c.rec.kind, got, c.kind)
+		}
+	}
+}
+
+// TestFlightRecordNoAllocs checks that recording — the part that runs on
+// the wait and grant path, mostly under the shard latch — allocates
+// nothing once the ring is warm.
+func TestFlightRecordNoAllocs(t *testing.T) {
+	m := New(Config{InitialPages: 64, Clock: clock.NewSim()})
+	row := RowName(1, 1)
+	si := m.shardOf(row)
+	wait := flightRec{kind: flightWait, app: 2, name: row, mode: ModeX, owner: 5, val: 4}
+	grant := flightRec{kind: flightGrant, app: 2, name: row, mode: ModeX, owner: 5, val: 1e6}
+	for i := 0; i < flightRingCap; i++ {
+		m.flightRecord(si, m.clk.Now(), wait)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		m.flightRecord(si, m.clk.Now(), wait)
+		m.flightRecord(si, m.clk.Now(), grant)
+	}); allocs != 0 {
+		t.Fatalf("recording a wait and a grant allocated %v times", allocs)
+	}
+	if evs := m.FlightEvents(si, 0); len(evs) != flightRingCap {
+		t.Fatalf("warm ring holds %d events, want %d", len(evs), flightRingCap)
+	}
+}
+
+// TestFlightJSONGolden scripts wait → grant → release and a conversion on
+// the simulated clock and pins the /debug/flight JSON byte for byte: the
+// records are rendered on read, and clients parse the text. Release hold
+// times are wall-clock, so they are masked.
+func TestFlightJSONGolden(t *testing.T) {
+	clk := clock.NewSim()
+	m := New(Config{InitialPages: 64, Clock: clk, ObsSampleStride: 1})
+	row := RowName(3, 3)
+	h := m.NewOwner(m.RegisterApp())
+	w := m.NewOwner(m.RegisterApp())
+	c := m.NewOwner(m.RegisterApp())
+	mustGrant(t, m.AcquireAsync(h, row, ModeX, 1), "holder X")
+	p := m.AcquireAsync(w, row, ModeS, 1)
+	mustWait(t, p, "waiter")
+	clk.Advance(time.Millisecond)
+	if err := m.Release(h, row); err != nil {
+		t.Fatal(err)
+	}
+	mustGrant(t, p, "granted")
+	mustGrant(t, m.AcquireAsync(c, row, ModeS, 1), "co-holder S")
+	p = m.AcquireAsync(w, row, ModeX, 1)
+	mustWait(t, p, "converter")
+	clk.Advance(2500 * time.Microsecond)
+	if err := m.Release(c, row); err != nil {
+		t.Fatal(err)
+	}
+	mustGrant(t, p, "converted")
+	clk.Advance(time.Millisecond)
+	if err := m.Release(w, row); err != nil {
+		t.Fatal(err)
+	}
+
+	held := regexp.MustCompile(`held=[^ "]+`)
+	render := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return held.ReplaceAllString(string(b), "held=D")
+	}
+	const want = `[` +
+		`{"Time":"2007-04-16T00:00:00Z","Kind":"wait","AppID":2,"Detail":"row(3.3) mode=S owner=2 depth=1"},` +
+		`{"Time":"2007-04-16T00:00:00.001Z","Kind":"release","AppID":1,"Detail":"row(3.3) mode=X owner=1 held=D"},` +
+		`{"Time":"2007-04-16T00:00:00.001Z","Kind":"grant","AppID":2,"Detail":"row(3.3) mode=S owner=2 waited=1ms"},` +
+		`{"Time":"2007-04-16T00:00:00.001Z","Kind":"wait","AppID":2,"Detail":"row(3.3) convert=X owner=2 depth=1"},` +
+		`{"Time":"2007-04-16T00:00:00.0035Z","Kind":"release","AppID":3,"Detail":"row(3.3) mode=S owner=3 held=D"},` +
+		`{"Time":"2007-04-16T00:00:00.0035Z","Kind":"grant","AppID":2,"Detail":"row(3.3) mode=X owner=2 waited=2.5ms"},` +
+		`{"Time":"2007-04-16T00:00:00.0045Z","Kind":"release","AppID":2,"Detail":"row(3.3) mode=X owner=2 held=D"}` +
+		`]`
+	if got := render(m.FlightEvents(-1, 0)); got != want {
+		t.Fatalf("merged flight JSON\n got %s\nwant %s", got, want)
+	}
+	home := m.shardOf(row)
+	if got, want := render(m.FlightEvents(home, 2)), `[`+
+		`{"Time":"2007-04-16T00:00:00.0035Z","Kind":"grant","AppID":2,"Detail":"row(3.3) mode=X owner=2 waited=2.5ms"},`+
+		`{"Time":"2007-04-16T00:00:00.0045Z","Kind":"release","AppID":2,"Detail":"row(3.3) mode=X owner=2 held=D"}`+
+		`]`; got != want {
+		t.Fatalf("home shard last=2\n got %s\nwant %s", got, want)
+	}
+	// An empty shard serves an empty array; the merged view of a manager
+	// that never recorded serves null.
+	if got := render(m.FlightEvents(home+1, 0)); got != "[]" {
+		t.Fatalf("empty shard JSON %s", got)
+	}
+	if got := render(New(Config{InitialPages: 64, Clock: clk}).FlightEvents(-1, 0)); got != "null" {
+		t.Fatalf("empty merged JSON %s", got)
+	}
+
+	// Each event serves exactly these four fields.
+	var evs []map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(render(m.FlightEvents(-1, 0))), &evs); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range evs {
+		if len(e) != 4 || e["Time"] == nil || e["Kind"] == nil || e["AppID"] == nil || e["Detail"] == nil {
+			t.Fatalf("event fields %v, want exactly Time/Kind/AppID/Detail", e)
+		}
 	}
 }
 

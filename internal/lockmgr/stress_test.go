@@ -3,7 +3,6 @@ package lockmgr
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -17,8 +16,9 @@ import (
 //
 //  1. per-lock FIFO grant order survives concurrent completion, and
 //  2. UsedStructs + FreeStructs == CapacityStructs holds exactly at every
-//     "tuning interval" (here: every background sweep), even while shard
-//     lease pools hold batched structures mid-flight.
+//     "tuning interval" (here: every background sweep, via CheckInvariants
+//     with the world stopped), even while shard lease pools hold batched
+//     structures mid-flight.
 
 // TestStressFIFOOrder enqueues a known sequence of waiters on one hot row
 // and lets concurrent goroutines complete them. The grant order observed
@@ -77,7 +77,9 @@ func TestStressFIFOOrder(t *testing.T) {
 // (deadlock detection, timeouts, resize) and validates the memory
 // accounting at every interval. Deadlocks are expected — hot-row upgrades
 // collide — and are handled by aborting the transaction, exactly as the
-// engine does.
+// engine does. Every worker wait carries a deadline: the sweeper is the
+// only deadlock breaker, so if it stops early the test fails instead of
+// hanging until the go test timeout.
 func TestStressShardedTable(t *testing.T) {
 	const (
 		workers     = 8
@@ -89,6 +91,10 @@ func TestStressShardedTable(t *testing.T) {
 		t.Skip("stress test")
 	}
 	m := newMgr(Config{InitialPages: 32 * 64, Shards: 8})
+	// Cancelled as soon as the sweeper exits on a violation; the timeout
+	// bounds the run should the sweeper stall some other way.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
 
 	var (
 		wg       sync.WaitGroup
@@ -101,9 +107,12 @@ func TestStressShardedTable(t *testing.T) {
 
 	// Background sweeper: the stand-in for the engine's tuning interval.
 	// Each pass breaks deadlocks, flexes the chain size to force lease
-	// repatriation, and asserts the exact accounting identity. The pass is
-	// stop-the-world, so it must be paced: an unthrottled loop starves the
-	// workers outright under the race detector on small machines.
+	// repatriation, and asserts the exact accounting identity. Only
+	// CheckInvariants may read used + free == capacity: it stops the world
+	// first, whereas three separate atomic reads race with live traffic.
+	// The pass is stop-the-world, so it must be paced: an unthrottled loop
+	// starves the workers outright under the race detector on small
+	// machines.
 	var sweeperWG sync.WaitGroup
 	sweeperWG.Add(1)
 	go func() {
@@ -125,16 +134,11 @@ func TestStressShardedTable(t *testing.T) {
 				m.Resize(32 * 48)
 			}
 			shrunk = !shrunk
-			if u, f, c := m.UsedStructs(), m.FreeStructs(), m.CapacityStructs(); u+f != c {
-				invErrMu.Lock()
-				invErr = fmt.Errorf("used %d + free %d != capacity %d", u, f, c)
-				invErrMu.Unlock()
-				return
-			}
 			if err := m.CheckInvariants(); err != nil {
 				invErrMu.Lock()
 				invErr = err
 				invErrMu.Unlock()
+				cancel()
 				return
 			}
 			sweeps.Add(1)
@@ -148,7 +152,7 @@ func TestStressShardedTable(t *testing.T) {
 			app := m.RegisterApp()
 			rng := rand.New(rand.NewSource(int64(w)))
 			table := uint32(100 + w)
-			for tx := 0; tx < txPerWorker; tx++ {
+			for tx := 0; tx < txPerWorker && ctx.Err() == nil; tx++ {
 				o := m.NewOwner(app)
 				ok := true
 				// Disjoint rows: private table, always grantable.
@@ -171,13 +175,13 @@ func TestStressShardedTable(t *testing.T) {
 					if rng.Intn(4) == 0 {
 						mode = ModeX
 					}
-					err := m.Acquire(context.Background(), o, RowName(99, uint64(h)), mode, 1)
+					err := m.Acquire(ctx, o, RowName(99, uint64(h)), mode, 1)
 					if err == nil && mode == ModeS && rng.Intn(4) == 0 {
-						err = m.Acquire(context.Background(), o, RowName(99, uint64(h)), ModeX, 1)
+						err = m.Acquire(ctx, o, RowName(99, uint64(h)), ModeX, 1)
 					}
 					if err != nil {
 						if !errors.Is(err, ErrDeadlock) && !errors.Is(err, ErrTimeout) {
-							t.Errorf("hot acquire: %v", err)
+							t.Errorf("hot acquire: %v (sweeper gone: %v)", err, ctx.Err())
 						}
 						aborts.Add(1)
 						ok = false

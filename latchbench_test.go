@@ -17,12 +17,14 @@ package repro
 //     latch-free admission regime, so residual latch traffic is settles
 //     and fallbacks.
 //
-// LATCH_SPIN selects the variant, in the workbench flag convention:
-// unset or -1 = adaptive controller, 0 = park immediately, n>0 = fixed
-// budget of n spins. Set BENCH_JSON=path to append one record per run:
+// LATCH_SPIN selects the variant in lockmgr.Config.LatchSpin's encoding:
+// unset or 0 = adaptive controller, <0 = park immediately, n>0 = fixed
+// budget of n spins. (The checked-in BENCH_LATCH_ADAPTIVE.json records
+// predate this encoding: their "latch_spin":-1 is the adaptive leg.) Set
+// BENCH_JSON=path to append one record per run:
 //
 //	{"bench":"LatchContention","workload":"hotkey","goroutines":64,
-//	 "latch_spin":-1,"ns_per_op":123.4,"contended":512,
+//	 "latch_spin":0,"ns_per_op":123.4,"contended":512,
 //	 "mean_wait_ns":8000,"p99_wait_ns":64000,
 //	 "spins":100,"parks":412,"handoffs":412}
 
@@ -88,27 +90,18 @@ func latchWaitP99(m *lockmgr.Manager) float64 {
 	return 0
 }
 
-// latchSpinEnv reads LATCH_SPIN in the workbench flag convention
-// (-1/unset = adaptive, 0 = park immediately, n>0 = fixed) and returns
-// both the raw value (for the JSON record) and the lockmgr.Config.LatchSpin
-// encoding (0 = adaptive, <0 = park, >0 = fixed).
-func latchSpinEnv(b *testing.B) (raw, cfg int) {
+// latchSpinEnv reads LATCH_SPIN as a lockmgr.Config.LatchSpin value
+// (unset = 0, adaptive).
+func latchSpinEnv(b *testing.B) int {
 	v := os.Getenv("LATCH_SPIN")
 	if v == "" {
-		return -1, 0
+		return 0
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
 		b.Fatalf("LATCH_SPIN=%q: %v", v, err)
 	}
-	switch {
-	case n < 0:
-		return -1, 0
-	case n == 0:
-		return 0, -1
-	default:
-		return n, n
-	}
+	return n
 }
 
 type latchRecord struct {
@@ -145,7 +138,7 @@ func emitLatchJSON(b *testing.B, rec latchRecord) {
 	}
 }
 
-func reportLatch(b *testing.B, wl string, g, rawSpin int, grants int64, elapsed time.Duration, m *lockmgr.Manager) {
+func reportLatch(b *testing.B, wl string, g, spin int, grants int64, elapsed time.Duration, m *lockmgr.Manager) {
 	b.Helper()
 	if grants <= 0 || elapsed <= 0 {
 		return
@@ -169,7 +162,7 @@ func reportLatch(b *testing.B, wl string, g, rawSpin int, grants int64, elapsed 
 		Bench:      "LatchContention",
 		Workload:   wl,
 		Goroutines: g,
-		LatchSpin:  rawSpin,
+		LatchSpin:  spin,
 		NsPerOp:    nsop,
 		Contended:  spins + parks,
 		MeanWaitNs: mean,
@@ -182,8 +175,8 @@ func reportLatch(b *testing.B, wl string, g, rawSpin int, grants int64, elapsed 
 
 // latchBenchConfig pins the shard count so contention is comparable across
 // machines and applies the LATCH_SPIN variant.
-func latchBenchConfig(spinCfg int) lockmgr.Config {
-	return lockmgr.Config{InitialPages: 32 * 256, Shards: 8, LatchSpin: spinCfg}
+func latchBenchConfig(spin int) lockmgr.Config {
+	return lockmgr.Config{InitialPages: 32 * 256, Shards: 8, LatchSpin: spin}
 }
 
 var latchGoroutines = []int{16, 64}
@@ -213,8 +206,8 @@ func BenchmarkLatchContention(b *testing.B) {
 // the LATCH_SPIN variant: 64 shared rows, exclusive mode, real FIFO
 // queueing on every collision.
 func benchLatchHotkey(b *testing.B, g int) {
-	raw, spinCfg := latchSpinEnv(b)
-	m := lockmgr.New(latchBenchConfig(spinCfg))
+	spin := latchSpinEnv(b)
+	m := lockmgr.New(latchBenchConfig(spin))
 	var wg sync.WaitGroup
 	perG := b.N/g + 1
 	start := make(chan struct{})
@@ -245,7 +238,7 @@ func benchLatchHotkey(b *testing.B, g int) {
 	wg.Wait()
 	elapsed := time.Since(t0)
 	b.StopTimer()
-	reportLatch(b, "hotkey", g, raw, int64(g*perG), elapsed, m)
+	reportLatch(b, "hotkey", g, spin, int64(g*perG), elapsed, m)
 }
 
 // benchLatchCommitStorm reuses the workload package's storm plan (built on
@@ -253,8 +246,8 @@ func benchLatchHotkey(b *testing.B, g int) {
 // concurrent commits collide on the same shard latches, and every 8th
 // transaction walks the shared set in fixed order, generating FIFO waits.
 func benchLatchCommitStorm(b *testing.B, g int) {
-	raw, spinCfg := latchSpinEnv(b)
-	m := lockmgr.New(latchBenchConfig(spinCfg))
+	spin := latchSpinEnv(b)
+	m := lockmgr.New(latchBenchConfig(spin))
 	prof := workload.DefaultCommitStormProfile(storage.CombinedTPCCTPCH())
 	prof.SharedEvery = 8
 	plan := workload.PlanCommitStormRows(m, prof, g)
@@ -302,7 +295,7 @@ func benchLatchCommitStorm(b *testing.B, g int) {
 	wg.Wait()
 	elapsed := time.Since(t0)
 	b.StopTimer()
-	reportLatch(b, "commitstorm", g, raw, int64(g*perG)*int64(prof.RowsPerTxn), elapsed, m)
+	reportLatch(b, "commitstorm", g, spin, int64(g*perG)*int64(prof.RowsPerTxn), elapsed, m)
 }
 
 // benchLatchReadMostly is the readmostly shape from BenchmarkLockScalability
@@ -315,8 +308,8 @@ func benchLatchReadMostly(b *testing.B, g int) {
 		hotSRows = 128
 		hotXRows = 64
 	)
-	raw, spinCfg := latchSpinEnv(b)
-	m := lockmgr.New(latchBenchConfig(spinCfg))
+	spin := latchSpinEnv(b)
+	m := lockmgr.New(latchBenchConfig(spin))
 	var wg sync.WaitGroup
 	perG := b.N/g + 1
 	start := make(chan struct{})
@@ -363,5 +356,5 @@ func benchLatchReadMostly(b *testing.B, g int) {
 	wg.Wait()
 	elapsed := time.Since(t0)
 	b.StopTimer()
-	reportLatch(b, "readmostly", g, raw, int64(g*perG)*2*opsPer, elapsed, m)
+	reportLatch(b, "readmostly", g, spin, int64(g*perG)*2*opsPer, elapsed, m)
 }

@@ -11,10 +11,11 @@ package repro
 // culled set, holds near its peak (Dice & Kogan's restricted-concurrency
 // result; ISSUE acceptance: ≥90% of peak at g=256).
 //
-// THROTTLE selects the variant, in the workbench flag convention: unset
-// or -1 = adaptive controller, 0 = throttle disabled (the baseline leg),
-// n>0 = fixed ceiling of n. Set BENCH_JSON=path to append one record per
-// goroutine count:
+// THROTTLE selects the variant in lockmgr.Config.Throttle's encoding:
+// unset or 0 = adaptive controller, <0 = throttle disabled (the baseline
+// leg), n>0 = fixed ceiling of n. (The checked-in BENCH_THROTTLE_*.json
+// records predate this encoding: their "throttle":0 is the disabled leg.)
+// Set BENCH_JSON=path to append one record per goroutine count:
 //
 //	{"bench":"HotkeySweep","workload":"hotkey1","locks":1,"goroutines":64,
 //	 "throttle":8,"ns_per_op":123.4,"grants_per_sec":1.2e6,
@@ -34,27 +35,18 @@ import (
 	"repro/internal/lockmgr"
 )
 
-// throttleEnv reads THROTTLE in the workbench flag convention (-1/unset =
-// adaptive, 0 = disabled, n>0 = fixed ceiling) and returns both the raw
-// value (for the JSON record) and the lockmgr.Config.Throttle encoding
-// (0 = adaptive, <0 = disabled, >0 = fixed).
-func throttleEnv(b *testing.B) (raw, cfg int) {
+// throttleEnv reads THROTTLE as a lockmgr.Config.Throttle value (unset =
+// 0, adaptive).
+func throttleEnv(b *testing.B) int {
 	v := os.Getenv("THROTTLE")
 	if v == "" {
-		return -1, 0
+		return 0
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
 		b.Fatalf("THROTTLE=%q: %v", v, err)
 	}
-	switch {
-	case n < 0:
-		return -1, 0
-	case n == 0:
-		return 0, -1
-	default:
-		return n, n
-	}
+	return n
 }
 
 type sweepRecord struct {
@@ -102,8 +94,8 @@ func BenchmarkHotkeySweep(b *testing.B) {
 // with live waiter count — the collapse driver the throttle exists to
 // bound. Shards are pinned so routing is machine-independent.
 func benchHotkeySweep(b *testing.B, g int) {
-	raw, cfg := throttleEnv(b)
-	m := lockmgr.New(lockmgr.Config{InitialPages: 32 * 256, Shards: 8, Throttle: cfg})
+	throttle := throttleEnv(b)
+	m := lockmgr.New(lockmgr.Config{InitialPages: 32 * 256, Shards: 8, Throttle: throttle})
 	hot := lockmgr.RowName(1, 1)
 
 	stop := make(chan struct{})
@@ -177,7 +169,7 @@ func benchHotkeySweep(b *testing.B, g int) {
 		Workload:     "hotkey1",
 		Locks:        1,
 		Goroutines:   g,
-		Throttle:     raw,
+		Throttle:     throttle,
 		NsPerOp:      float64(elapsed.Nanoseconds()) / float64(grants),
 		GrantsPerSec: float64(grants) / elapsed.Seconds(),
 		Culled:       m.ThrottleCulled(),
