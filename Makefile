@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race check-bench bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
+.PHONY: all build test allocs race check-bench bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
 
 all: build
 
@@ -9,6 +9,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# allocs runs the allocation test in a process of its own: AllocsPerRun
+# counts every goroutine's mallocs, so it must not share one with tests
+# that churn in the background.
+allocs:
+	$(GO) test -run '^TestTransactionAllocations$$' -count=3 ./internal/lockmgr
 
 # Race-detector runs for the concurrency-sensitive packages: the sharded
 # lock table, its spin-then-park shard latch, its block-chain lease pools,
@@ -217,13 +223,13 @@ obs-demo: build
 	wait $$pid
 
 # verify is the tier-1 gate (see ROADMAP.md): formatting, vet, build, the
-# full test suite, the race-detector pass over the concurrency-sensitive
+# full test suite, the allocation test alone, the race-detector pass over the concurrency-sensitive
 # packages, and one-iteration smoke runs of the read-path benches, the
 # group-release commit path, the contention profiler's live endpoints,
 # the spin-then-park latch counters on /metrics, and the admission
 # throttle's cull/reactivate accounting; plus vet and the short tests of
 # the nested bench module.
-verify: fmt vet build test race check-bench smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle
+verify: fmt vet build test allocs race check-bench smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

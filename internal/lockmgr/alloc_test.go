@@ -2,22 +2,25 @@ package lockmgr
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// testing.AllocsPerRun counts the whole process's allocations, and several
-// tests of this package leak allocating goroutines when they fail (ROADMAP
-// item 0(e)). This file sorts first so that the measurement runs before any
-// of them and one flaky failure does not become two.
+// testing.AllocsPerRun counts the whole process's allocations, so a
+// goroutine another test left running would be counted here too. Churn
+// goroutines in this package stop in t.Cleanup, this file sorts first, and
+// make allocs runs TestTransactionAllocations in a process of its own.
 
 // tpccShapedTxn runs one transaction the size of the bench's tpcc mean: 23
 // row locks over 5 tables, each row behind its table's intent lock, through
-// the blocking Acquire and FinishOwner like internal/txn does. neverRecycle
-// marks the owner as having waited, which keeps FinishOwner from pooling it.
-func tpccShapedTxn(tb testing.TB, m *Manager, app *App, neverRecycle bool) {
+// the blocking Acquire and FinishOwner like internal/txn does.
+func tpccShapedTxn(tb testing.TB, m *Manager, app *App) {
 	ctx := context.Background()
 	o := m.NewOwner(app)
-	o.everWaited = neverRecycle
 	for i := 0; i < 23; i++ {
 		table := uint32(1 + i%5)
 		if err := m.Acquire(ctx, o, TableName(table), ModeIX, 1); err != nil {
@@ -28,6 +31,60 @@ func tpccShapedTxn(tb testing.TB, m *Manager, app *App, neverRecycle bool) {
 		}
 	}
 	m.FinishOwner(o)
+}
+
+// waitPair runs the one-wait transaction pair: a waiter, on a goroutine of
+// its own, queues behind a holder in a blocking Acquire; the holder
+// commits, then the waiter commits.
+type waitPair struct {
+	m     *Manager
+	app   *App
+	row   Name
+	start chan struct{}
+	done  chan *Owner
+}
+
+func newWaitPair(t *testing.T, m *Manager, app *App) *waitPair {
+	w := &waitPair{m: m, app: app, row: RowName(9, 1), start: make(chan struct{}), done: make(chan *Owner)}
+	var wg sync.WaitGroup
+	st := newStopper(t, &wg)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-st.C:
+				return
+			case <-w.start:
+			}
+			o := m.NewOwner(app)
+			if err := m.Acquire(st.ctx, o, w.row, ModeX, 1); err != nil {
+				t.Error(err)
+			}
+			m.FinishOwner(o)
+			select {
+			case w.done <- o:
+			case <-st.C:
+				return
+			}
+		}
+	}()
+	return w
+}
+
+// run is one holder and one waiter transaction; it returns the waiter's
+// owner.
+func (w *waitPair) run(tb testing.TB) *Owner {
+	holder := w.m.NewOwner(w.app)
+	if err := w.m.Acquire(context.Background(), holder, w.row, ModeX, 1); err != nil {
+		tb.Fatal(err)
+	}
+	w.start <- struct{}{}
+	for w.m.shards[w.m.ShardOf(w.row)].nWaiting.Load() == 0 {
+		runtime.Gosched()
+	}
+	w.m.FinishOwner(holder)
+	return <-w.done
 }
 
 func TestTransactionAllocations(t *testing.T) {
@@ -46,34 +103,112 @@ func TestTransactionAllocations(t *testing.T) {
 	// Recycled owner: after warm-up the owner, its held array, the request
 	// boxes and the lock headers all come back from their free lists.
 	for i := 0; i < 100; i++ {
-		tpccShapedTxn(t, m, app, false)
+		tpccShapedTxn(t, m, app)
 	}
-	if n := testing.AllocsPerRun(200, func() { tpccShapedTxn(t, m, app, false) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { tpccShapedTxn(t, m, app) }); n != 0 {
 		t.Errorf("23-row, 5-table transaction on a recycled owner: %v allocations, want 0", n)
 	}
-	// An owner that waited is left to the garbage collector, so each of its
-	// transactions pays for a new Owner, for that owner's commit-walk
-	// scratch growing from nothing, and — past the inline segment's 12
-	// locks — for the held index growing 16 → 32 → 64 slots. The bounds are
-	// what the map-based indexes paid for the same transactions (33 and
-	// 20); the flat index must not cost more (it measures 25 and 16).
-	small := func() {
-		o := m.NewOwner(app)
-		o.everWaited = true
-		for i := 0; i < 10; i++ {
-			if err := m.Acquire(context.Background(), o, RowName(7, uint64(i)), ModeX, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		m.FinishOwner(o)
+
+	// One wait: the waiter parks on its owner's wake channel, and both
+	// owners, both request boxes and the row's header come back from their
+	// free lists — the waiter's owner included, handed out again by
+	// NewOwner.
+	w := newWaitPair(t, m, app)
+	waiters := make(map[*Owner]bool)
+	const warm = 100
+	for i := 0; i < warm; i++ {
+		waiters[w.run(t)] = true
 	}
-	big := testing.AllocsPerRun(200, func() { tpccShapedTxn(t, m, app, true) })
-	few := testing.AllocsPerRun(200, small)
-	t.Logf("never-recycled owner: %v allocations for 23 rows on 5 tables, %v for 10 rows on one", big, few)
-	if big > 33 || few > 20 {
-		t.Errorf("never-recycled owner: %v and %v allocations, want at most 33 and 20", big, few)
+	if len(waiters) == warm {
+		t.Errorf("%d one-wait transactions used %d distinct waiter owners: none was handed out again", warm, len(waiters))
+	}
+	if n := testing.AllocsPerRun(200, func() { w.run(t) }); n > 2 {
+		t.Errorf("one-wait transaction on recycled owners: %v allocations, want at most 2", n)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecycledWaitHammer: every transaction waits, and the owners and
+// request boxes of waited transactions are recycled while the whole control
+// plane runs against them: culls and reactivations (Throttle 2), a short
+// lock timeout, cancels through ctx, deadlock detection, timeout sweeps and
+// invariant checks. Workers take their rows in ascending order, so no
+// deadlock is real: a victim here would be a false one, the detector acting
+// on a recycled owner or box it saw in an earlier transaction. Run it with
+// -race.
+func TestRecycledWaitHammer(t *testing.T) {
+	m := New(Config{InitialPages: 64, Shards: 4, Throttle: 2, LockTimeout: 5 * time.Millisecond})
+	app := m.RegisterApp()
+	const workers = 8
+	var wg sync.WaitGroup
+	st := newStopper(t, &wg)
+	var txns atomic.Int64
+	seen := make([]map[*Owner]bool, workers)
+	for w := range seen {
+		seen[w] = make(map[*Owner]bool)
+		wg.Add(1)
+		go func(mine map[*Owner]bool) {
+			defer wg.Done()
+			for n := 0; !st.stopped(); n++ {
+				o := m.NewOwner(app)
+				mine[o] = true
+				ctx, cancel := st.ctx, context.CancelFunc(func() {})
+				if n%10 == 0 { // a tenth of the transactions give up through ctx
+					ctx, cancel = context.WithTimeout(st.ctx, 200*time.Microsecond)
+				}
+				for r := uint64(0); r < 3; r++ {
+					if err := m.Acquire(ctx, o, RowName(1, r), ModeX, 1); err != nil {
+						if !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrCanceled) {
+							t.Errorf("row %d: %v", r, err)
+						}
+						break
+					}
+				}
+				cancel()
+				m.FinishOwner(o)
+				txns.Add(1)
+			}
+		}(seen[w])
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		next := time.Now()
+		for !st.stopped() {
+			m.DetectDeadlocks()
+			m.SweepTimeouts()
+			if time.Now().After(next) {
+				next = time.Now().Add(100 * time.Millisecond)
+				if err := m.CheckInvariants(); err != nil {
+					t.Errorf("invariants: %v", err)
+					return
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+	time.Sleep(500 * time.Millisecond)
+	st.stop()
+	wg.Wait()
+
+	owners := make(map[*Owner]bool)
+	for _, mine := range seen {
+		for o := range mine {
+			owners[o] = true
+		}
+	}
+	n := txns.Load()
+	if int64(len(owners))*2 > n {
+		t.Errorf("%d distinct owners for %d transactions: owners that waited are not reused", len(owners), n)
+	}
+	if s := m.Stats(); s.Waits < n/2 || s.Deadlocks != 0 {
+		t.Errorf("%d transactions, %d waits, %d deadlock victims: want most to wait and no victim", n, s.Waits, s.Deadlocks)
+	}
+	m.SweepTimeouts()
+	throttleIdentity(t, m)
+	if got := m.UsedStructs(); got != 0 {
+		t.Errorf("used structs = %d after every transaction finished", got)
 	}
 }

@@ -87,22 +87,16 @@ func (m *Manager) escalate(o *Owner, parked *request) bool {
 		// so the wait histogram includes escalation stalls (the counter in
 		// stats.waits is deliberately not bumped — parked requests are
 		// retried, not queued behind a lock). Parked requests join the
-		// waiting set, so they are ever-queued (never box-recycled) and
-		// count in the owner's inWait gauge — once, even across re-parks.
-		parked.everQueued = true
-		parked.owner.everWaited = true
-		if parked.waitStart.IsZero() {
-			parked.owner.inWait.Add(1)
-		}
-		parked.waitStart = m.clk.Now()
+		// waiting set and count in the owner's inWait gauge.
+		m.markWaiting(parked, m.clk.Now())
 		m.shardFor(parked.name).addWaiting(parked)
 	}
 
-	continueAfter := func(m *Manager) {
+	continueAfter := func(m *Manager, _ *request, _ error) {
 		m.freeEscalatedRows(o, victim)
 		m.retryParked(parked)
 	}
-	abandon := func(m *Manager, err error) {
+	abandon := func(m *Manager, _ *request, err error) {
 		m.abandonParked(parked, err)
 	}
 
@@ -111,11 +105,11 @@ func (m *Manager) escalate(o *Owner, parked *request) bool {
 		// escalation); just shed the redundant row locks. The continuation
 		// self-latches, so it cannot run here under every latch — it is
 		// queued and drained as soon as the global section ends.
-		m.enqueueCont(continueAfter)
+		m.enqueueCont(cont{fn: continueAfter, pin: o.pin()})
 		return true
 	}
 
-	m.startConversion(tableReq, target, newPending(), continueAfter, abandon)
+	m.startConversion(tableReq, target, new(Pending), continueAfter, abandon)
 	return true
 }
 

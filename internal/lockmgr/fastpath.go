@@ -407,7 +407,7 @@ func (m *Manager) quotaFastCached(app *App, weight int) bool {
 // touched, so all hits share one terminal Pending (Status/Done are safe on
 // a completed Pending from any number of goroutines).
 var grantedSingleton = func() *Pending {
-	p := newPending()
+	p := new(Pending)
 	p.complete(StatusGranted, nil)
 	return p
 }()
@@ -437,7 +437,7 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 	o.mu.Lock()
 	if o.released {
 		o.mu.Unlock()
-		p := newPending()
+		p := new(Pending)
 		p.complete(StatusDenied, fmt.Errorf("lockmgr: owner %d already released", o.id))
 		return p
 	}

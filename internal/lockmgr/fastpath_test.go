@@ -1,7 +1,6 @@
 package lockmgr
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -255,12 +254,13 @@ func TestFastPathRaceConversions(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
+	st := newStopper(t, &wg)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			ctx := context.Background()
+			ctx := st.ctx
 			for i := 0; i < iters; i++ {
 				o := m.NewOwner(app)
 				table := uint32(1 + rng.Intn(3))
@@ -313,14 +313,14 @@ func TestFastPathRaceResize(t *testing.T) {
 		iters = 50
 	}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var wg, resizer sync.WaitGroup
+	st := newStopper(t, &wg, &resizer)
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			ctx := context.Background()
+			ctx := st.ctx
 			for i := 0; i < iters; i++ {
 				o := m.NewOwner(app)
 				name := TableName(uint32(1 + rng.Intn(2)))
@@ -339,13 +339,13 @@ func TestFastPathRaceResize(t *testing.T) {
 			}
 		}(int64(g))
 	}
-	resizerDone := make(chan struct{})
+	resizer.Add(1)
 	go func() {
-		defer close(resizerDone)
+		defer resizer.Done()
 		sizes := []int{32 * 4, 32 * 8, 32 * 2, 32 * 8}
 		for i := 0; ; i++ {
 			select {
-			case <-stop:
+			case <-st.C:
 				return
 			default:
 			}
@@ -358,8 +358,8 @@ func TestFastPathRaceResize(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	close(stop)
-	<-resizerDone
+	st.stop()
+	resizer.Wait()
 	m.Resize(32 * 8)
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -378,12 +378,13 @@ func TestFastPathRaceEscalation(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
+	st := newStopper(t, &wg)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			ctx := context.Background()
+			ctx := st.ctx
 			for i := 0; i < iters; i++ {
 				o := m.NewOwner(app)
 				// Shared hot table: latch-free intent.

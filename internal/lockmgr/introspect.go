@@ -151,8 +151,16 @@ func (m *Manager) checkInvariantsLocked() error {
 		if got, want := s.nLocks.Load(), int64(s.table.Len()); got != want {
 			return fmt.Errorf("lockmgr: shard %d nLocks mirror %d, table has %d", i, got, want)
 		}
-		if got, want := s.nWaiting.Load(), int64(len(s.waiting)); got != want {
-			return fmt.Errorf("lockmgr: shard %d nWaiting mirror %d, waiting has %d", i, got, want)
+		// The waiting list: linked both ways, homed here, counted by nWaiting.
+		nw := 0
+		for r, prev := s.waitHead, (*request)(nil); r != nil; prev, r = r, r.wnext {
+			if !r.inWaitList || r.wprev != prev || (r.wnext == nil && s.waitTail != r) || m.shardOf(r.name) != i {
+				return fmt.Errorf("lockmgr: shard %d waiting list broken at %v", i, r.name)
+			}
+			nw++
+		}
+		if got := s.nWaiting.Load(); got != int64(nw) {
+			return fmt.Errorf("lockmgr: shard %d nWaiting mirror %d, waiting list holds %d", i, got, nw)
 		}
 		if got, want := s.pool.Pooled(), s.pool.Structs(); got != want {
 			return fmt.Errorf("lockmgr: shard %d pooled mirror %d, pool holds %d", i, got, want)
@@ -258,7 +266,7 @@ func (m *Manager) checkInvariantsLocked() error {
 			// Every waiter is registered in its shard's waiting set, and —
 			// FIFO soundness — the head waiter is genuinely blocked.
 			for _, c := range h.converters {
-				if _, ok := s.waiting[c]; !ok {
+				if !c.inWaitList {
 					return fmt.Errorf("lockmgr: %v converter missing from waiting set", name)
 				}
 				if !c.converting {
@@ -266,7 +274,7 @@ func (m *Manager) checkInvariantsLocked() error {
 				}
 			}
 			for _, w := range h.waiters {
-				if _, ok := s.waiting[w]; !ok {
+				if !w.inWaitList {
 					return fmt.Errorf("lockmgr: %v waiter missing from waiting set", name)
 				}
 				appStructs[w.owner.app.id] += w.handle.Structs()
@@ -280,7 +288,7 @@ func (m *Manager) checkInvariantsLocked() error {
 				if !c.culled {
 					return fmt.Errorf("lockmgr: %v unflagged request on culled stack", name)
 				}
-				if _, ok := s.waiting[c]; !ok {
+				if !c.inWaitList {
 					return fmt.Errorf("lockmgr: %v culled request missing from waiting set", name)
 				}
 				if c.header != h {
@@ -310,7 +318,7 @@ func (m *Manager) checkInvariantsLocked() error {
 		// have its home shard's touched bit set — the bit is set before the
 		// request can reach any queue, and never cleared.
 		waitingCulled := 0
-		for req := range s.waiting {
+		for req := s.waitHead; req != nil; req = req.wnext {
 			inWait[req.owner]++
 			if req.culled {
 				waitingCulled++
@@ -381,6 +389,9 @@ func (m *Manager) checkInvariantsLocked() error {
 	if culled, react, den := m.throtCulled.Total(), m.throtReact.Total(), m.throtDenied.Total(); culled != react+den+int64(liveCulled) {
 		return fmt.Errorf("lockmgr: culled waiters lost: culled %d != reactivated %d + denied %d + live %d",
 			culled, react, den, liveCulled)
+	}
+	if n := m.wakeLeaks.Load(); n != 0 {
+		return fmt.Errorf("lockmgr: %d owners pooled with a wake signal pending", n)
 	}
 	if got := m.throtLive.Load(); got != int64(liveCulled) {
 		return fmt.Errorf("lockmgr: culled live gauge %d, stacks hold %d", got, liveCulled)

@@ -37,6 +37,42 @@ func mustWait(t *testing.T, p *Pending, what string) {
 	}
 }
 
+// stopper stops a test's background goroutines: cleanup raises the stop
+// flag, cancels ctx (ending any wait in Acquire) and waits on every
+// WaitGroup given, so a test that exits through t.Fatal leaks no goroutine
+// into the tests after it.
+type stopper struct {
+	C    chan struct{} // closed by stop
+	ctx  context.Context
+	once sync.Once
+}
+
+func newStopper(t *testing.T, wgs ...*sync.WaitGroup) *stopper {
+	ctx, cancel := context.WithCancel(context.Background())
+	st := &stopper{C: make(chan struct{}), ctx: ctx}
+	t.Cleanup(func() {
+		st.stop()
+		cancel()
+		for _, wg := range wgs {
+			wg.Wait()
+		}
+	})
+	return st
+}
+
+// stop raises the stop flag; calling it again does nothing.
+func (st *stopper) stop() { st.once.Do(func() { close(st.C) }) }
+
+// stopped reports whether the stop flag is raised.
+func (st *stopper) stopped() bool {
+	select {
+	case <-st.C:
+		return true
+	default:
+		return false
+	}
+}
+
 func TestAcquireReleaseBasics(t *testing.T) {
 	m := newMgr(Config{})
 	app := m.RegisterApp()
@@ -332,8 +368,12 @@ func TestBlockingAcquire(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
+	var wg sync.WaitGroup
+	st := newStopper(t, &wg)
+	wg.Add(1)
 	go func() {
-		done <- m.Acquire(context.Background(), o2, row, ModeS, 1)
+		defer wg.Done()
+		done <- m.Acquire(st.ctx, o2, row, ModeS, 1)
 	}()
 	time.Sleep(10 * time.Millisecond)
 	m.ReleaseAll(o1)
@@ -438,6 +478,7 @@ func TestConcurrentChurn(t *testing.T) {
 	m := New(Config{InitialPages: 32 * 64})
 	const goroutines = 8
 	var wg sync.WaitGroup
+	st := newStopper(t, &wg)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -446,7 +487,7 @@ func TestConcurrentChurn(t *testing.T) {
 			app := m.RegisterApp()
 			for i := 0; i < 200; i++ {
 				o := m.NewOwner(app)
-				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+				ctx, cancel := context.WithTimeout(st.ctx, 50*time.Millisecond)
 				table := uint32(rng.Intn(3))
 				rowMode := ModeS
 				if rng.Intn(2) == 0 {

@@ -260,10 +260,9 @@ func TestOptimisticTornRead(t *testing.T) {
 	)
 	var payloadA, payloadB atomic.Uint64 // atomics: readers race by design
 	var validated, torn, invalidated atomic.Int64
-	var done atomic.Bool
 	var writerWg, readerWg sync.WaitGroup
-
-	ctx := context.Background()
+	st := newStopper(t, &writerWg, &readerWg)
+	ctx := st.ctx
 	for w := 0; w < writers; w++ {
 		writerWg.Add(1)
 		go func() {
@@ -288,7 +287,7 @@ func TestOptimisticTornRead(t *testing.T) {
 		readerWg.Add(1)
 		go func() {
 			defer readerWg.Done()
-			for !done.Load() {
+			for !st.stopped() {
 				tok, ok := m.TryOptimisticRead(name, ModeS)
 				if !ok {
 					continue // fenced by a writer; the locking tiers would serve this read
@@ -314,7 +313,7 @@ func TestOptimisticTornRead(t *testing.T) {
 	for i := 0; i < 1_000_000 && validated.Load() == 0; i++ {
 		runtime.Gosched()
 	}
-	done.Store(true)
+	st.stop()
 	readerWg.Wait()
 
 	if validated.Load() == 0 {

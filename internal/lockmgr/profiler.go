@@ -288,7 +288,7 @@ func (m *Manager) DumpWaiters() obs.BlameReport {
 			continue
 		}
 		s := m.lockShard(i)
-		for req := range s.waiting {
+		for req := s.waitHead; req != nil; req = req.wnext {
 			if req.parked || req.culled {
 				continue // parked/culled requests hold no queue position
 			}

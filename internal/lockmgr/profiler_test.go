@@ -402,8 +402,8 @@ func TestProfilerDisabled(t *testing.T) {
 // package); correctness here is "no race, no panic, invariants hold".
 func TestProfilerConcurrentReads(t *testing.T) {
 	m := New(Config{InitialPages: 128, LockTimeout: 5 * time.Second, ObsSampleStride: 8})
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	st := newStopper(t, &wg)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -411,7 +411,7 @@ func TestProfilerConcurrentReads(t *testing.T) {
 			o := m.NewOwner(m.RegisterApp())
 			for i := 0; ; i++ {
 				select {
-				case <-stop:
+				case <-st.C:
 					return
 				default:
 				}
@@ -428,7 +428,7 @@ func TestProfilerConcurrentReads(t *testing.T) {
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {
-			case <-stop:
+			case <-st.C:
 				return
 			default:
 			}
@@ -443,7 +443,7 @@ func TestProfilerConcurrentReads(t *testing.T) {
 		}
 	}()
 	time.Sleep(200 * time.Millisecond)
-	close(stop)
+	st.stop()
 	wg.Wait()
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)

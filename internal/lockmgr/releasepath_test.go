@@ -279,13 +279,13 @@ func TestCommitStormReleasePath(t *testing.T) {
 	})
 
 	var (
-		stop     = make(chan struct{})
 		sweeps   atomic.Int64
 		aborts   atomic.Int64
 		invErrMu sync.Mutex
 		invErr   error
 	)
-	var sweeperWG sync.WaitGroup
+	var sweeperWG, wg sync.WaitGroup
+	st := newStopper(t, &sweeperWG, &wg)
 	sweeperWG.Add(1)
 	go func() {
 		defer sweeperWG.Done()
@@ -293,7 +293,7 @@ func TestCommitStormReleasePath(t *testing.T) {
 		defer tick.Stop()
 		for {
 			select {
-			case <-stop:
+			case <-st.C:
 				return
 			case <-tick.C:
 			}
@@ -309,7 +309,6 @@ func TestCommitStormReleasePath(t *testing.T) {
 		}
 	}()
 
-	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -320,7 +319,7 @@ func TestCommitStormReleasePath(t *testing.T) {
 			for tx := 0; tx < txPerWorker; tx++ {
 				o := m.NewOwner(app)
 				ok := true
-				if err := m.Acquire(context.Background(), o, TableName(private), ModeIX, 1); err != nil {
+				if err := m.Acquire(st.ctx, o, TableName(private), ModeIX, 1); err != nil {
 					t.Errorf("private intent: %v", err)
 					ok = false
 				}
@@ -332,7 +331,7 @@ func TestCommitStormReleasePath(t *testing.T) {
 					rows = 120
 				}
 				for r := 0; ok && r < rows; r++ {
-					err := m.Acquire(context.Background(), o, RowName(private, uint64(tx*200+r)), ModeX, 1)
+					err := m.Acquire(st.ctx, o, RowName(private, uint64(tx*200+r)), ModeX, 1)
 					if err != nil {
 						if !errors.Is(err, ErrDeadlock) && !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrLockMemory) {
 							t.Errorf("private row: %v", err)
@@ -351,7 +350,7 @@ func TestCommitStormReleasePath(t *testing.T) {
 					if rng.Intn(4) == 0 {
 						mode = ModeX
 					}
-					if err := m.Acquire(context.Background(), o, RowName(99, uint64(h)), mode, 1); err != nil {
+					if err := m.Acquire(st.ctx, o, RowName(99, uint64(h)), mode, 1); err != nil {
 						if !errors.Is(err, ErrDeadlock) && !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrLockMemory) {
 							t.Errorf("hot row: %v", err)
 						}
@@ -377,9 +376,8 @@ func TestCommitStormReleasePath(t *testing.T) {
 					rel.Wait()
 				} else {
 					// The exactly-once path hands the owner back for
-					// recycling, as the transaction layer does; owners
-					// that ever waited are left to the GC (FinishOwner
-					// checks), so this is safe under the storm.
+					// recycling, as the transaction layer does, waited
+					// or not.
 					m.FinishOwner(o)
 				}
 				if inflight != nil {
@@ -391,7 +389,7 @@ func TestCommitStormReleasePath(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
+	st.stop()
 	sweeperWG.Wait()
 
 	invErrMu.Lock()
@@ -458,11 +456,9 @@ func TestBoxRecycling(t *testing.T) {
 	}
 }
 
-// TestFinishOwnerRecycling: FinishOwner hands never-waited owners back to
-// the manager's pool, and a recycled owner starts from a clean slate —
-// fresh id, empty held index, cleared touched set. Owners whose requests
-// ever waited are released but not recycled, since continuations may still
-// hold the pointer.
+// TestFinishOwnerRecycling: FinishOwner hands owners back to the manager's
+// pool, waited or not, and a recycled owner starts from a clean slate —
+// fresh id, empty held index, cleared touched set.
 func TestFinishOwnerRecycling(t *testing.T) {
 	m := New(Config{InitialPages: 8, Shards: 8})
 	app := m.RegisterApp()
@@ -475,7 +471,7 @@ func TestFinishOwnerRecycling(t *testing.T) {
 			t.Fatalf("round %d: owner id %d not monotonic (last %d)", round, o.id, lastID)
 		}
 		lastID = o.id
-		if o.released || o.held.Len() != 0 || o.held.Slots() > heldKeepSlots || o.touched0 != 0 || len(o.tables) != 0 || o.everWaited {
+		if o.released || o.held.Len() != 0 || o.held.Slots() > heldKeepSlots || o.touched0 != 0 || len(o.tables) != 0 {
 			t.Fatalf("round %d: recycled owner not reset: %+v", round, o)
 		}
 		for l := 0; l < 5; l++ {
@@ -492,7 +488,8 @@ func TestFinishOwnerRecycling(t *testing.T) {
 		t.Fatalf("UsedStructs = %d after all owners finished, want 0", got)
 	}
 
-	// An owner that waited is released but kept from the pool.
+	// An owner that waited is recycled as well: nothing names it once its
+	// release is done, so FinishOwner pools it at once, reset.
 	holder := m.NewOwner(app)
 	if err := m.Acquire(ctx, holder, RowName(2, 1), ModeX, 1); err != nil {
 		t.Fatal(err)
@@ -506,16 +503,13 @@ func TestFinishOwnerRecycling(t *testing.T) {
 	if st, _ := p.Status(); st != StatusGranted {
 		t.Fatalf("waiter status %v after holder release, want granted", st)
 	}
-	if !waiter.everWaited {
-		t.Fatal("waiter owner not marked everWaited")
-	}
 	m.FinishOwner(waiter)
-	if !waiter.released {
-		t.Fatal("FinishOwner did not release the waited owner")
+	if waiter.released || waiter.app != nil || waiter.stagedRefs.Load() != 0 || len(waiter.wake) != 0 {
+		t.Fatal("FinishOwner did not recycle the owner that waited")
 	}
-	// Not recycled: the released flag survives, so a stale pointer stays a
-	// terminal no-op forever.
-	m.ReleaseAll(waiter)
+	if st, _ := p.Status(); st != StatusGranted {
+		t.Fatalf("caller-held pending changed by recycling: %v", st)
+	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -46,6 +46,7 @@ func TestStressFIFOOrder(t *testing.T) {
 	var seq atomic.Int64
 	order := make([]int64, waiters)
 	var wg sync.WaitGroup
+	newStopper(t, &wg)
 	for i := range owners {
 		wg.Add(1)
 		go func(i int) {
@@ -98,7 +99,6 @@ func TestStressShardedTable(t *testing.T) {
 
 	var (
 		wg       sync.WaitGroup
-		stop     = make(chan struct{})
 		sweeps   atomic.Int64
 		aborts   atomic.Int64
 		invErrMu sync.Mutex
@@ -114,6 +114,7 @@ func TestStressShardedTable(t *testing.T) {
 	// starves the workers outright under the race detector on small
 	// machines.
 	var sweeperWG sync.WaitGroup
+	st := newStopper(t, &sweeperWG, &wg)
 	sweeperWG.Add(1)
 	go func() {
 		defer sweeperWG.Done()
@@ -122,7 +123,7 @@ func TestStressShardedTable(t *testing.T) {
 		defer tick.Stop()
 		for {
 			select {
-			case <-stop:
+			case <-st.C:
 				return
 			case <-tick.C:
 			}
@@ -192,7 +193,7 @@ func TestStressShardedTable(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
+	st.stop()
 	sweeperWG.Wait()
 
 	invErrMu.Lock()

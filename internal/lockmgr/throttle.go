@@ -129,19 +129,6 @@ func (m *Manager) maybeCull(s *shard, si int, req *request) bool {
 	return true
 }
 
-// removeCulled unlinks req from h's culled stack (no-op if absent).
-// Caller holds the shard latch.
-func (h *lockHeader) removeCulled(req *request) {
-	for i, c := range h.culled {
-		if c == req {
-			copy(h.culled[i:], h.culled[i+1:])
-			h.culled[len(h.culled)-1] = nil
-			h.culled = h.culled[:len(h.culled)-1]
-			return
-		}
-	}
-}
-
 // reactivateCulled refills h's active queue from its culled stack, newest
 // first, up to the shard's ceiling headroom — or entirely, if the ceiling
 // has since disengaged. Each popped waiter re-enters the admission
@@ -166,14 +153,12 @@ func (m *Manager) reactivateCulled(s *shard, h *lockHeader) {
 // latch.
 func (m *Manager) popCulled(s *shard, h *lockHeader, i int) {
 	req := h.culled[i]
-	copy(h.culled[i:], h.culled[i+1:])
-	h.culled[len(h.culled)-1] = nil
-	h.culled = h.culled[:len(h.culled)-1]
+	h.culled = removeAt(h.culled, i)
 	req.culled = false
 	h.reactInFlight++
 	m.throtReact.Shard(s.idx).Inc()
 	m.throtLive.Add(-1)
-	m.enqueueCont(func(mm *Manager) { mm.retryCulled(req) })
+	m.enqueueCont(cont{fn: (*Manager).retryCulled, req: req, pin: req.owner.pin()})
 }
 
 // retryCulled re-runs the admission pipeline for a reactivated culled
@@ -184,7 +169,7 @@ func (m *Manager) popCulled(s *shard, h *lockHeader, i int) {
 // fallback. The header stays resident across the window — eviction is
 // pinned by reactInFlight (cacheOrEvictDeferred) — so the decrement
 // through req.header is safe.
-func (m *Manager) retryCulled(req *request) {
+func (m *Manager) retryCulled(req *request, _ error) {
 	si := m.shardOf(req.name)
 	s := m.lockShard(si)
 	h := req.header

@@ -7,7 +7,6 @@ package lockmgr
 // the decision log.
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -366,16 +365,15 @@ func TestThrottleConcurrentHammer(t *testing.T) {
 	m := newMgr(Config{Throttle: 2, Shards: 2, LockTimeout: 20 * time.Millisecond})
 	app := m.RegisterApp()
 	row := RowName(7, 7)
-	stop := make(chan struct{})
-
 	var wg sync.WaitGroup
+	st := newStopper(t, &wg)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				select {
-				case <-stop:
+				case <-st.C:
 					return
 				default:
 				}
@@ -386,7 +384,7 @@ func TestThrottleConcurrentHammer(t *testing.T) {
 				}
 				// Errors (timeout under the storm) are expected; the
 				// accounting identity at the end is the assertion.
-				_ = m.Acquire(context.Background(), o, row, mode, 1)
+				_ = m.Acquire(st.ctx, o, row, mode, 1)
 				m.ReleaseAll(o)
 			}
 		}(g)
@@ -397,7 +395,7 @@ func TestThrottleConcurrentHammer(t *testing.T) {
 		defer wg.Done()
 		for {
 			select {
-			case <-stop:
+			case <-st.C:
 				return
 			default:
 			}
@@ -408,7 +406,7 @@ func TestThrottleConcurrentHammer(t *testing.T) {
 	}()
 
 	time.Sleep(150 * time.Millisecond)
-	close(stop)
+	st.stop()
 	wg.Wait()
 	m.SweepTimeouts() // final valve pass for any parked stragglers
 	if got := m.ThrottleLive(); got != 0 {
