@@ -7,14 +7,16 @@ all: build
 build:
 	$(GO) build ./...
 
+# test, allocs and race bound every package's run at 180 s, so a hung
+# test fails in three minutes instead of go test's default ten.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 180s ./...
 
 # allocs runs the allocation test in a process of its own: AllocsPerRun
 # counts every goroutine's mallocs, so it must not share one with tests
 # that churn in the background.
 allocs:
-	$(GO) test -run '^TestTransactionAllocations$$' -count=3 ./internal/lockmgr
+	$(GO) test -timeout 180s -run '^TestTransactionAllocations$$' -count=3 ./internal/lockmgr
 
 # Race-detector runs for the concurrency-sensitive packages: the sharded
 # lock table, its spin-then-park shard latch, its block-chain lease pools,
@@ -24,7 +26,7 @@ allocs:
 # against concurrent writers), and the buffer pool with the flat hash table
 # that indexes it and the lock table.
 race:
-	$(GO) test -race ./internal/latch ./internal/lockmgr ./internal/memblock \
+	$(GO) test -race -timeout 180s ./internal/latch ./internal/lockmgr ./internal/memblock \
 		./internal/engine ./internal/obs ./internal/trace ./internal/txn \
 		./internal/bufferpool ./internal/flathash
 
@@ -81,8 +83,8 @@ bench-obs-profiler:
 # acquisitions per commit. BENCH_COMMIT_BASELINE.json holds the
 # full-sweep release path (3×shards latches per commit);
 # BENCH_COMMIT_RELEASEPATH.json the touched-shard walk (O(shards
-# touched)); BENCH_COMMIT_GROUPRELEASE.json the group-release path
-# (staged batches + flush leaders on storming shards).
+# touched)); BENCH_COMMIT_GROUPRELEASE.json the since-removed
+# group-release path (staged batches + flush leaders on storming shards).
 bench-commit:
 	BENCH_JSON=$${BENCH_JSON:-BENCH_COMMIT.json} \
 		$(GO) test -run xxx -bench BenchmarkCommitThroughput -benchtime 1s .
@@ -148,9 +150,9 @@ smoke-read:
 
 # smoke-commit runs the workbench commitstorm workload — short X
 # transactions confined to a few hot shards, with a shared row set that
-# generates genuine FIFO waits — and fails unless the group-release path
-# actually coalesced grant wakeups (-min-coalesced turns the counter into
-# an exit status).
+# generates genuine FIFO waits — and fails unless the release walk's
+# deferred wake pass actually coalesced grant wakeups (-min-coalesced
+# turns the counter into an exit status).
 smoke-commit:
 	$(GO) run ./cmd/workbench -workload commitstorm -clients 64 -ticks 200 \
 		-chart=false -events 0 -min-coalesced 1 >/dev/null
@@ -223,12 +225,12 @@ obs-demo: build
 	wait $$pid
 
 # verify is the tier-1 gate (see ROADMAP.md): formatting, vet, build, the
-# full test suite, the allocation test alone, the race-detector pass over the concurrency-sensitive
-# packages, and one-iteration smoke runs of the read-path benches, the
-# group-release commit path, the contention profiler's live endpoints,
-# the spin-then-park latch counters on /metrics, and the admission
-# throttle's cull/reactivate accounting; plus vet and the short tests of
-# the nested bench module.
+# full test suite, the allocation test alone, the race-detector pass over
+# the concurrency-sensitive packages, and one-iteration smoke runs of the
+# read-path benches, the commit path's deferred wake pass, the contention
+# profiler's live endpoints, the spin-then-park latch counters on
+# /metrics, and the admission throttle's cull/reactivate accounting; plus
+# vet and the short tests of the nested bench module.
 verify: fmt vet build test allocs race check-bench smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle
 
 fmt:

@@ -68,7 +68,7 @@ func main() {
 		rows      = flag.Int("rows", 65, "average row locks per transaction")
 		writes    = flag.Float64("writes", 0.3, "fraction of X-mode row locks")
 		workloadF = flag.String("workload", "oltp",
-			"workload shape: oltp | readmostly (90% S/IS on a shared hot set, 10% X — the latch-free admission regime) | dss (≥99% S reporting scans over a shared hot set — the zero-CAS optimistic regime) | commitstorm (short X transactions confined to a few hot shards — the group-release regime)")
+			"workload shape: oltp | readmostly (90% S/IS on a shared hot set, 10% X — the latch-free admission regime) | dss (≥99% S reporting scans over a shared hot set — the zero-CAS optimistic regime) | commitstorm (short X transactions confined to a few hot shards — the commit-latch regime)")
 		minCoalesced = flag.Int64("min-coalesced", -1,
 			"exit 1 unless the run coalesced at least this many grant wakeups (-1 disables; smoke-test hook)")
 		latchSpin = flag.Int("latch-spin", 0,
@@ -163,11 +163,11 @@ func main() {
 		// S, every scan revisiting a shared hot set whose headers publish
 		// into the fast-slot array and then serve optimistic read tokens.
 	case "commitstorm":
-		// The group-release regime: every client runs short X transactions
+		// The commit-latch regime: every client runs short X transactions
 		// whose rows are confined to a few hot shards, so concurrent
-		// commits collide on the same shard latches and coalesce through
-		// the staged release path; a shared hot set hit every 8th
-		// transaction generates FIFO waits — and coalesced wakeups.
+		// commits collide on the same shard latches; a shared hot set hit
+		// every 8th transaction generates FIFO waits — and coalesced
+		// wakeups.
 	default:
 		fmt.Fprintf(os.Stderr, "workbench: unknown -workload %q (want oltp, readmostly, dss or commitstorm)\n", *workloadF)
 		os.Exit(2)
@@ -227,8 +227,8 @@ func main() {
 			snap.LockOptimisticFailures, 100*float64(snap.LockOptimisticFailures)/float64(snap.LockOptimisticHits))
 	}
 	if snap.LockReleaseBatches > 0 {
-		fmt.Printf("group release     %d batches, %d wakeups coalesced, %d visits staged for a leader\n",
-			snap.LockReleaseBatches, snap.LockWakeupsCoalesced, snap.LockFlushFollowerWaits)
+		fmt.Printf("release walk      %d batches, %d wakeups coalesced\n",
+			snap.LockReleaseBatches, snap.LockWakeupsCoalesced)
 	}
 	if contended := snap.LockLatchSpins + snap.LockLatchParks; contended > 0 {
 		fmt.Printf("latch contention  %d contended acquires (%.1f%% spin-won), %d parks, %d handoffs\n",

@@ -111,9 +111,8 @@ var (
 	commitGoroutines = []int{1, 4, 16}
 	commitTxSizes    = []int{2, 8, 64}
 
-	// commitstorm runs many more committers than it has hot shards — the
-	// group-release regime, where concurrently committing owners pile onto
-	// the same few shard latches.
+	// commitstorm runs many more committers than it has hot shards, so
+	// concurrently committing owners pile onto the same few shard latches.
 	stormGoroutines = []int{1, 16, 64}
 )
 

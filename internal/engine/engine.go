@@ -523,15 +523,12 @@ type Snapshot struct {
 	// fast-path hits + fallbacks covers every admission attempt.
 	LockOptimisticHits     int64
 	LockOptimisticFailures int64
-	// LockReleaseBatches counts release batches applied by the group-release
-	// path (one per owner-visit, whether applied directly or drained by a
-	// flush leader). LockWakeupsCoalesced counts FIFO grant wakeups deferred
-	// out of a latched release section and fired in a post-walk pass.
-	// LockFlushFollowerWaits counts commit-side shard visits that staged
-	// their batch for a flush leader instead of latching the shard.
-	LockReleaseBatches     int64
-	LockWakeupsCoalesced   int64
-	LockFlushFollowerWaits int64
+	// LockReleaseBatches counts release batches applied by the commit walk
+	// (one per owner-visit to a shard). LockWakeupsCoalesced counts FIFO
+	// grant wakeups deferred out of a latched release section and fired in
+	// a post-walk pass.
+	LockReleaseBatches   int64
+	LockWakeupsCoalesced int64
 	// LockLatchSpins counts contended shard-latch acquisitions won in the
 	// spin phase of the spin-then-park latch; LockLatchParks counts those
 	// that parked on the latch's condition instead; LockLatchHandoffs
@@ -581,7 +578,6 @@ func (db *Database) Snapshot() Snapshot {
 		LockOptimisticFailures:  db.locks.OptimisticFailures(),
 		LockReleaseBatches:      db.locks.ReleaseBatches(),
 		LockWakeupsCoalesced:    db.locks.WakeupsCoalesced(),
-		LockFlushFollowerWaits:  db.locks.FlushFollowerWaits(),
 		LockLatchSpins:          db.locks.LatchSpinHits(),
 		LockLatchParks:          db.locks.LatchParks(),
 		LockLatchHandoffs:       db.locks.LatchHandoffs(),

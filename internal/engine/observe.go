@@ -181,15 +181,12 @@ func (db *Database) WriteMetrics(m *obs.MetricWriter) {
 	m.CounterVec("lockmem_optimistic_failures_total", "optimistic read tokens failing validation", "shard",
 		db.locks.OptimisticFailureCounters().Values())
 
-	// Group release: batches applied per shard (direct visits plus flush-
-	// leader drains), grant wakeups coalesced out of latched sections, and
-	// commit-side visits that staged for a leader instead of latching.
+	// Release walk: batches applied per shard (one per commit visit) and
+	// grant wakeups coalesced out of latched sections.
 	m.CounterVec("lockmem_release_batches_total", "release batches applied", "shard",
 		db.locks.ReleaseBatchCounters().Values())
 	m.CounterVec("lockmem_wakeups_coalesced_total", "grant wakeups deferred out of latched release sections", "shard",
 		db.locks.WakeupsCoalescedCounters().Values())
-	m.CounterVec("lockmem_flush_follower_waits_total", "commit visits staged for a flush leader", "shard",
-		db.locks.FlushFollowerWaitCounters().Values())
 
 	// Saturation-aware admission throttle: waiters culled into the passive
 	// set, culled waiters reactivated as the active queue drained, and

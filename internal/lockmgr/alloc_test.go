@@ -95,10 +95,6 @@ func TestTransactionAllocations(t *testing.T) {
 	// allocates nothing either, but keep the measured path the plain one.
 	m := New(Config{InitialPages: 32, Shards: 8, ObsSampleStride: -1})
 	app := m.RegisterApp()
-	// One owner stays registered so that no measured commit is the last one
-	// out, which force-flushes every shard's staging list.
-	bystander := m.NewOwner(app)
-	defer m.ReleaseAll(bystander)
 
 	// Recycled owner: after warm-up the owner, its held array, the request
 	// boxes and the lock headers all come back from their free lists.

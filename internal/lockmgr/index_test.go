@@ -115,48 +115,35 @@ func TestCheckInvariantsCatchesIndexDrift(t *testing.T) {
 }
 
 // TestFinishedOwnerScratchHoldsNoRequests: a pooled owner's commit-walk
-// scratch (and a staged batch a flush leader has applied) and the inline
-// segment its held index grew out of must not keep pointers to the requests
-// it released. Boxes are recycled; a stale pointer to one ends up pointing
-// at some later transaction's request and keeps it, and through it its
-// owner and that owner's scratch, from the collector.
+// scratch and the inline segment its held index grew out of must not keep
+// pointers to the requests it released. Boxes are recycled; a stale pointer
+// to one ends up pointing at some later transaction's request and keeps it,
+// and through it its owner and that owner's scratch, from the collector.
 func TestFinishedOwnerScratchHoldsNoRequests(t *testing.T) {
 	m := newMgr(Config{})
 	app := m.RegisterApp()
-	bystander := m.NewOwner(app) // keeps the last-owner-out flush away
-	defer m.ReleaseAll(bystander)
-	for _, storm := range []bool{false, true} {
-		o := m.NewOwner(app)
-		for i := 0; i < 20; i++ {
-			mustGrant(t, m.AcquireAsync(o, TableName(uint32(i%3)), ModeIX, 1), "table IX")
-			mustGrant(t, m.AcquireAsync(o, RowName(uint32(i%3), uint64(i)), ModeX, 1), "row X")
-		}
-		if storm { // every shard visit stages its batch for a flush leader
-			for i := range m.shards {
-				m.shards[i].relStorm.Store(relStormArm)
+	o := m.NewOwner(app)
+	for i := 0; i < 20; i++ {
+		mustGrant(t, m.AcquireAsync(o, TableName(uint32(i%3)), ModeIX, 1), "table IX")
+		mustGrant(t, m.AcquireAsync(o, RowName(uint32(i%3), uint64(i)), ModeX, 1), "row X")
+	}
+	m.FinishOwner(o)
+	// 23 locks outgrew the held index's inline segment mid-transaction;
+	// the segment stays with the owner and must have been emptied then.
+	if o.held.Len() != 0 || o.heldSeg != [heldInlineSlots]flathash.Slot[*request]{} {
+		t.Fatal("finished owner's inline held segment still points at requests")
+	}
+	b := &o.walkBatch
+	for _, lst := range [][]releaseEntry{b.rows[:cap(b.rows)], b.tables[:cap(b.tables)]} {
+		for _, e := range lst {
+			if e.req != nil {
+				t.Fatalf("walk batch still points at the request for %v", e.name)
 			}
 		}
-		m.FinishOwner(o)
-		m.FlushStaged()
-		// 23 locks outgrew the held index's inline segment mid-transaction;
-		// the segment stays with the owner and must have been emptied then.
-		if o.held.Len() != 0 || o.heldSeg != [heldInlineSlots]flathash.Slot[*request]{} {
-			t.Fatalf("storm=%v: finished owner's inline held segment still points at requests", storm)
-		}
-		batches := append([]*releaseBatch{&o.walkBatch}, &o.sbArsenal[0], &o.sbArsenal[1])
-		for bi, b := range batches {
-			for _, lst := range [][]releaseEntry{b.rows[:cap(b.rows)], b.tables[:cap(b.tables)]} {
-				for _, e := range lst {
-					if e.req != nil {
-						t.Fatalf("storm=%v: batch %d still points at the request for %v", storm, bi, e.name)
-					}
-				}
-			}
-			for _, r := range b.live[:cap(b.live)] {
-				if r != nil {
-					t.Fatalf("storm=%v: batch %d live list still points at a request", storm, bi)
-				}
-			}
+	}
+	for _, r := range b.live[:cap(b.live)] {
+		if r != nil {
+			t.Fatal("walk batch live list still points at a request")
 		}
 	}
 	if err := m.CheckInvariants(); err != nil {

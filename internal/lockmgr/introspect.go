@@ -397,68 +397,9 @@ func (m *Manager) checkInvariantsLocked() error {
 		return fmt.Errorf("lockmgr: culled live gauge %d, stacks hold %d", got, liveCulled)
 	}
 
-	// Staged-but-unflushed group-release batches (grouprelease.go) are pure
-	// intent: every entry must still be fully resident — granted in its
-	// home shard's table, counted by the chain/quota/lease checks above —
-	// and its owner's teardown refcount must cover the batch. Staging is
-	// latch-free, so concurrent pushes can extend a list under the stopped
-	// world; drains cannot (they need the latch), which makes the snapshot
-	// walk and the ≥-style mirror checks stable.
-	stagedBatches := make(map[*Owner]int32)
-	stagedWeight := make(map[int]int64)
-	for i := range m.shards {
-		s := &m.shards[i]
-		staged := int32(0)
-		for sb := s.relHead.Load(); sb != nil; sb = sb.next {
-			staged++
-			o := sb.stagedOwner
-			if o == nil {
-				return fmt.Errorf("lockmgr: shard %d staged batch without owner", i)
-			}
-			if sb.stagedShard != i {
-				return fmt.Errorf("lockmgr: shard %d staged batch homed to shard %d", i, sb.stagedShard)
-			}
-			stagedBatches[o]++
-			for _, lst := range [2][]releaseEntry{sb.rows, sb.tables} {
-				for _, e := range lst {
-					if e.si != i {
-						return fmt.Errorf("lockmgr: staged entry %v routed to shard %d, staged on %d", e.name, e.si, i)
-					}
-					h := s.header(hashName(e.name), e.name)
-					if h == nil || h.getGranted(o) != e.req {
-						return fmt.Errorf("lockmgr: staged release of %v no longer granted in table", e.name)
-					}
-					if !e.req.granted {
-						return fmt.Errorf("lockmgr: staged release of %v lost its granted flag before the drain", e.name)
-					}
-					if e.req.fastLeased {
-						stagedWeight[o.app.id] += int64(e.req.weight)
-					} else {
-						stagedWeight[o.app.id] += int64(e.req.handle.Structs())
-					}
-				}
-			}
-		}
-		if got := s.relLen.Load(); got < staged {
-			return fmt.Errorf("lockmgr: shard %d staging length mirror %d below %d staged batches", i, got, staged)
-		}
-	}
-	for o, n := range stagedBatches {
-		if got := o.stagedRefs.Load(); got < n {
-			return fmt.Errorf("lockmgr: owner %d staged refcount %d below %d staged batches", o.id, got, n)
-		}
-	}
-	// Staged weight is still charged weight: until a flush leader applies
-	// the batch, the quota gauges must keep carrying every staged struct.
-	for id, w := range stagedWeight {
-		if charged := int64(appStructs[id]); w > charged {
-			return fmt.Errorf("lockmgr: app %d staged-but-unflushed weight %d exceeds charged structs %d", id, w, charged)
-		}
-	}
-
 	// Owner indexes agree with the lock table. ownersMu is held across the
 	// whole pass, not just a list snapshot: a deregistered owner's
-	// teardown (dropStagedRef → resetForReuse, and pool reuse by NewOwner)
+	// teardown (dropRef → resetForReuse, and pool reuse by NewOwner)
 	// wipes the indexes latch-free, and deregistration itself needs
 	// ownersMu — so pinning ownersMu keeps every visited owner alive and
 	// un-recycled for the duration. Lock order is shard latches → ownersMu

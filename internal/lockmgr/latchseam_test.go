@@ -2,80 +2,10 @@ package lockmgr
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/latch"
 	"repro/internal/obs"
 )
-
-// TestTryLockShardClearsStaleHoldStamp pins the stale-holdT0 fix: a raw
-// s.mu.Unlock() (runGlobal's descending sweep) leaves the sampled hold
-// stamp behind, and a later TryLock'd release visit used to acquire the
-// latch without the acquire-side bookkeeping — so its unlockShard
-// attributed the entire stamp-to-visit gap as a bogus latch hold.
-// tryLockShard now advances the stamp like lockShard does, so a skipped
-// unlock sample can never surface as a hold time.
-func TestTryLockShardClearsStaleHoldStamp(t *testing.T) {
-	m := New(Config{InitialPages: 1024, Shards: 4})
-	if m.latchProf == nil {
-		t.Fatal("contention profiler expected on by default")
-	}
-	m.latchSampleMask = 0 // stamp every acquisition
-
-	s := m.lockShard(0)
-	if s.holdT0.IsZero() {
-		t.Fatal("stamped acquisition left no hold stamp")
-	}
-	s.mu.Unlock() // raw unlock: the stale stamp survives
-
-	const staleGap = 5 * time.Millisecond
-	time.Sleep(staleGap)
-
-	before := m.latchProf.Hold(0)
-	s2, ok := m.tryLockShard(0)
-	if !ok {
-		t.Fatal("tryLockShard failed on a free latch")
-	}
-	m.unlockShard(s2)
-	after := m.latchProf.Hold(0)
-
-	// The visit records its own fresh (sub-millisecond) sample; what it
-	// must never record is the staleGap. No bucket at or above 1 ms may
-	// have grown.
-	for b := obs.BucketOf(time.Millisecond.Nanoseconds()); b < obs.NumBuckets; b++ {
-		if after.Counts[b] != before.Counts[b] {
-			t.Fatalf("stale stamp attributed as a hold: bucket %d grew %d→%d",
-				b, before.Counts[b], after.Counts[b])
-		}
-	}
-	if after.Total != before.Total+1 {
-		t.Fatalf("expected exactly one fresh hold sample, got %d→%d",
-			before.Total, after.Total)
-	}
-}
-
-// TestTryLockShardContendedSignal pins the unified contention definition:
-// a failed tryLockShard counts one contended acquire on the latch itself
-// (the signal the spin controller and the commit-storm arm share) but no
-// latchWaits acquisition — nothing was acquired.
-func TestTryLockShardContendedSignal(t *testing.T) {
-	m := New(Config{InitialPages: 1024, Shards: 4})
-	s := m.lockShard(0)
-	waitsBefore := m.LatchWaits()
-	contendedBefore := s.mu.Contended()
-	if _, ok := m.tryLockShard(0); ok {
-		t.Fatal("tryLockShard succeeded on a held latch")
-	}
-	if got := s.mu.Contended(); got != contendedBefore+1 {
-		t.Fatalf("failed TryLock should record one contended acquire, got %d→%d",
-			contendedBefore, got)
-	}
-	if got := m.LatchWaits(); got != waitsBefore {
-		t.Fatalf("failed TryLock should not count a latch wait, got %d→%d",
-			waitsBefore, got)
-	}
-	m.unlockShard(s)
-}
 
 // TestLatchDecisionLogRecordsRetunes checks the OnTune wiring: a budget
 // change made by a shard latch's controller lands in the decision log as a

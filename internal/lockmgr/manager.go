@@ -89,9 +89,9 @@
 // reference to one that outlives its latch is listed here:
 //
 //   - Continuations (retryCulled, freeEscalatedRows, retryParked,
-//     abandonParked) and staged release batches pin their owner through
-//     its stagedRefs teardown count. A continuation's request is in no
-//     held index, so no commit recycles its box meanwhile.
+//     abandonParked) pin their owner through its refs teardown count. A
+//     continuation's request is in no held index, so no commit recycles
+//     its box meanwhile.
 //   - The deadlock detector's phase-1 snapshot (edges, waitingBy): under
 //     the home latch it proves by identity that a request still waits
 //     there, then checks owner and owner id (liveEdge, denyVictimReq).
@@ -229,22 +229,38 @@ func (p *Pending) Status() (Status, error) {
 	return st, p.err
 }
 
-// complete moves p to a terminal state. Calls for one Pending are
-// serialized by its request's home shard latch (or happen before the
-// request is ever published), so the waiting-state check cannot race with
-// another completer; the Done interplay is covered by seq-cst atomics plus
-// dmu (whichever of complete/Done runs second observes the other's store
-// and performs the close, with closed deduplicating). An armed Pending's
-// wake send is the last touch: the woken Acquire may recycle box and owner.
+// complete moves p to a terminal state and wakes whoever waits on it.
 func (p *Pending) complete(st Status, err error) {
-	if Status(p.status.Load()) != StatusWaiting {
-		return
+	if p.settle(st, err) {
+		p.signal()
 	}
-	armed, wake := p.armed, p.wake
+}
+
+// settle stores p's terminal state, reporting false if p already had one.
+// Calls for one Pending are serialized by its request's home shard latch
+// (or happen before the request is ever published), so the waiting-state
+// check cannot race with another completer. A release visit settles the
+// grants it makes under the latch and leaves signal to the walk's wake
+// pass, so Status reads granted before the waiter is woken.
+func (p *Pending) settle(st Status, err error) bool {
+	if Status(p.status.Load()) != StatusWaiting {
+		return false
+	}
 	p.err = err
 	p.status.Store(int32(st))
-	if armed {
-		wake <- struct{}{} // never blocks: one signal per armed wait, buffer 1
+	return true
+}
+
+// signal wakes the waiter of a settled p, exactly once per settle. The
+// Done interplay is covered by seq-cst atomics plus dmu (whichever of
+// signal/Done runs second observes the other's store and performs the
+// close, with closed deduplicating). An armed Pending's wake send is the
+// last touch: the woken Acquire may recycle box and owner. Until then the
+// box cannot be recycled — an armed Acquire is parked on the send, and an
+// unarmed (AcquireAsync) box is never recycled.
+func (p *Pending) signal() {
+	if p.armed {
+		p.wake <- struct{}{} // never blocks: one signal per armed wait, buffer 1
 		return
 	}
 	if p.hasDone.Load() {
@@ -457,27 +473,20 @@ type Owner struct {
 	// on; an owner waits on at most one blocking request at a time.
 	wake chan struct{}
 
-	// stagedRefs is the owner's teardown refcount: one bias from NewOwner,
+	// refs is the owner's teardown refcount: one bias from NewOwner,
 	// dropped by the release walk as its last touch of the owner, plus one
-	// per staged release batch (grouprelease.go) and per queued continuation
-	// naming the owner. Whoever drops it to zero resets and pools the owner
-	// if recycleOnZero (FinishOwner's promise, set by the walk) is set.
-	stagedRefs    atomic.Int32
+	// per queued continuation naming the owner. Whoever drops it to zero
+	// resets and pools the owner if recycleOnZero (FinishOwner's promise,
+	// set by the walk) is set.
+	refs          atomic.Int32
 	recycleOnZero bool
 
 	// Commit-walk scratch, reused across this owner's transactions so the
 	// steady-state release walk touches no sync.Pool at all: the collect
-	// snapshot, the deferred posting/wake drain, and a small arsenal of
-	// staged-batch slots for storm-mode shard visits (overflow falls back
-	// to releaseBatchPool). A slot is safe to reuse because the owner is
-	// only recycled — and the walk only restarted — after stagedRefs hits
-	// zero, which requires every previously staged slot to have been
-	// applied. Touched only by the walk goroutine and (per staged slot,
-	// hand-off via the staging-list CAS) the one flush leader applying it.
+	// snapshot and the deferred posting/wake drain. Touched only by the
+	// walk goroutine.
 	walkBatch releaseBatch
 	drain     releaseDrain
-	sbArsenal [2]releaseBatch
-	sbUsed    int8
 
 	// Registry list links, guarded by Manager.ownersMu.
 	regPrev, regNext *Owner
@@ -704,14 +713,6 @@ type lockHeader struct {
 	culled        []*request
 	reactInFlight int
 
-	// postPending marks a header already appended to the current shard
-	// visit's deferred posting list (grouprelease.go): when a flush leader
-	// applies several owners' release batches under one latch hold, two
-	// batches unlinking holders of the same header must queue it for the
-	// FIFO posting pass exactly once. Guarded by the shard latch; always
-	// false outside a latched release visit.
-	postPending bool
-
 	// word is the packed latch-free grant word (see fastpath.go); it is
 	// meaningful only once published is set (latch-guarded) and the
 	// header is installed in its shard's fastSlots. Published headers are
@@ -867,9 +868,9 @@ type shard struct {
 	// mu is the shard latch: an adaptive spin-then-park latch
 	// (internal/latch) whose per-shard spin budget is retuned from the
 	// sampled hold times unlockShard feeds it. Acquire through lockShard
-	// or tryLockShard (they run the profiler bookkeeping); raw
-	// s.mu.Unlock() remains correct everywhere a paired unlockShard is
-	// not wanted (runGlobal's descending sweep, deadlock validation).
+	// (it runs the profiler bookkeeping); raw s.mu.Unlock() remains
+	// correct everywhere a paired unlockShard is not wanted (runGlobal's
+	// descending sweep, deadlock validation).
 	mu    latch.Latch
 	idx   int                         // position in Manager.shards; set once at New
 	table flathash.Table[*lockHeader] // by hashName(name)
@@ -879,12 +880,11 @@ type shard struct {
 	waitHead, waitTail *request
 
 	// Latch-profile sampling state, guarded by mu: latchTick advances on
-	// every latched acquisition (lockShard and tryLockShard); when it
-	// hits the sampling stride the acquisition stamps holdT0 and the
-	// matching unlockShard records the hold time. Raw s.mu.Unlock()
-	// sites (runGlobal's descending sweep) simply leave a stale stamp,
-	// which the next stamped acquisition — lockShard or tryLockShard —
-	// clears before anything reads it.
+	// every latched acquisition (lockShard); when it hits the sampling
+	// stride the acquisition stamps holdT0 and the matching unlockShard
+	// records the hold time. Raw s.mu.Unlock() sites (runGlobal's
+	// descending sweep) simply leave a stale stamp, which the next
+	// lockShard clears before anything reads it.
 	latchTick uint64
 	holdT0    time.Time
 	pool      *memblock.Pool // lease cache; guarded by mu
@@ -914,33 +914,6 @@ type shard struct {
 	fastPublishedN atomic.Int32
 	fastLease      memblock.Handle
 	fastLeaseTotal int
-
-	// Group-release staging (grouprelease.go). relHead is the MPSC list
-	// of detached release batches staged on a storming shard; relLen
-	// mirrors its length for the latch-free triggers. A flush leader (CAS
-	// on relFlush) or any latched visitor swaps the list out and applies
-	// every batch in one latched section. relMu/relCond park stagers at
-	// the high-water bound until the next drain (relMu is never held with
-	// the shard latch).
-	relHead  atomic.Pointer[releaseBatch]
-	relLen   atomic.Int32
-	relFlush atomic.Int32
-	relMu    sync.Mutex
-	relCond  *sync.Cond
-
-	// relStorm is the shard's commit-storm arm (hysteresis for the group
-	// stage). 0 means quiet: commits TryLock and apply directly, and only
-	// a failed TryLock — real latch contention — arms the shard. While
-	// armed, commit visits to the shard stage their batches unless it has
-	// waiters. Multi-batch drains re-arm to relStormArm; single-batch
-	// drains decay the arm by one, so a shard whose storm has passed falls
-	// back to the direct path within a few visits.
-	relStorm atomic.Int32
-
-	// relInline is the drain scratch for the admission path's piggyback
-	// drain (drainStagedInline). Latch-protected, like the table, so the
-	// per-acquire drain allocates nothing.
-	relInline releaseDrain
 
 	// seq stamps the shard's published summary: it is bumped (under mu)
 	// whenever lock-table membership or wait-queue membership changes, so
@@ -1070,7 +1043,6 @@ type Manager struct {
 	// writes against a map's hash, probe, and bucket churn. Only
 	// introspection iterates it.
 	owners    *Owner
-	nOwners   int
 	nextApp   int
 	nextOwner uint64
 	numApps   atomic.Int64
@@ -1140,18 +1112,12 @@ type Manager struct {
 	latchWaits *metrics.ShardCounters
 	latchAcqs  *metrics.ShardCounters
 
-	// Group-release evidence (grouprelease.go). relBatches counts release
-	// batches applied per shard (one per owner-visit, whether the owner
-	// latched directly or a flush leader drained its staged batch);
-	// wakesCoalesced counts FIFO grant wakeups whose Pending completion
-	// was deferred out of the latched release section and fired in the
-	// post-walk pass; flushWaits counts owner-visits that staged their
-	// batch on a busy shard and waited for a leader instead of latching.
-	// relBatches / commits is the combining factor; flushWaits > 0 proves
-	// the staging path runs at all.
+	// Release-walk evidence. relBatches counts release batches applied per
+	// shard (one per owner-visit); wakesCoalesced counts FIFO grant wakeups
+	// whose signal was deferred out of the latched release section and
+	// fired in the post-walk pass.
 	relBatches     *metrics.ShardCounters
 	wakesCoalesced *metrics.ShardCounters
-	flushWaits     *metrics.ShardCounters
 
 	// Admission-throttle evidence (throttle.go). throtCulled counts
 	// waiters diverted into the passive culled set; throtReact counts
@@ -1201,14 +1167,6 @@ type Manager struct {
 	stats statCounters
 
 	wakeLeaks atomic.Int64 // owners pooled with a wake signal pending
-
-	// preEnqueueHook, when non-nil, runs right before an admission enqueues
-	// a waiter or converter (shard latch held in fast mode, every latch in
-	// global mode; o.mu dropped) — inside the window between startRequest's
-	// entry drain and the waiting-set store. Two tests set it, before any
-	// concurrent use of the manager, to interleave a staged release into
-	// that window; nothing else does.
-	preEnqueueHook func()
 }
 
 // defaultShards picks the shard count for Config.Shards == 0: enough
@@ -1259,7 +1217,6 @@ func New(cfg Config) *Manager {
 		optFailures:    metrics.NewShardCounters("optimistic validation failures", ns),
 		relBatches:     metrics.NewShardCounters("release batches applied", ns),
 		wakesCoalesced: metrics.NewShardCounters("wakeups coalesced", ns),
-		flushWaits:     metrics.NewShardCounters("flush follower waits", ns),
 		throtCulled:    metrics.NewShardCounters("throttle culled waiters", ns),
 		throtReact:     metrics.NewShardCounters("throttle reactivated waiters", ns),
 		throtDenied:    metrics.NewShardCounters("throttle culled denials", ns),
@@ -1297,7 +1254,6 @@ func New(cfg Config) *Manager {
 			s.mu.SetFixedBudget(0)
 		}
 		s.pool = m.chain.NewPool(cfg.LeaseChunk)
-		s.relCond = sync.NewCond(&s.relMu)
 		if cfg.Throttle > 0 {
 			s.throtCeil.Store(int32(min(cfg.Throttle, throttleCeilMax)))
 		}
@@ -1351,25 +1307,6 @@ func (m *Manager) lockShard(i int) *shard {
 	return s
 }
 
-// tryLockShard attempts shard i's latch without blocking. A successful
-// attempt runs the same acquire-side bookkeeping as lockShard — the
-// acquisition count and the sampled hold-stamp advance, which also clears
-// any stale stamp a raw unlock left behind, so a TryLock'd visit can never
-// attribute a bogus hold time to the profile (the manager.go:946 stale
-// holdT0 hazard). A failed attempt is a contended acquire: the latch's own
-// contended counter records it (the unified contention signal the spin
-// controller and the commit-storm hysteresis share); latchWaits is not
-// bumped because no acquisition happened.
-func (m *Manager) tryLockShard(i int) (*shard, bool) {
-	s := &m.shards[i]
-	if !s.mu.TryLock() {
-		return s, false
-	}
-	m.latchAcqs.Shard(i).Inc()
-	m.stampLatchAcquire(s)
-	return s, true
-}
-
 // stampLatchAcquire advances the sampled hold-time stamp under a
 // just-taken shard latch: one-in-stride acquisitions stamp holdT0 for
 // unlockShard to read; every other acquisition clears a stale stamp left
@@ -1387,12 +1324,12 @@ func (m *Manager) stampLatchAcquire(s *shard) {
 	}
 }
 
-// unlockShard releases a latch taken by lockShard or tryLockShard,
-// recording the sampled hold time when this acquisition was the
-// one-in-stride stamped one — into the latch profile and, as the same
-// sample, into the latch's own hold EWMA, which is what its adaptive spin
-// budget retunes from. The paired form is diagnostics only: raw
-// s.mu.Unlock() remains correct everywhere (the sample is simply dropped).
+// unlockShard releases a latch taken by lockShard, recording the sampled
+// hold time when this acquisition was the one-in-stride stamped one — into
+// the latch profile and, as the same sample, into the latch's own hold
+// EWMA, which is what its adaptive spin budget retunes from. The paired
+// form is diagnostics only: raw s.mu.Unlock() remains correct everywhere
+// (the sample is simply dropped).
 func (m *Manager) unlockShard(s *shard) {
 	if lp := m.latchProf; lp != nil && !s.holdT0.IsZero() {
 		ns := time.Since(s.holdT0).Nanoseconds()
@@ -1467,7 +1404,7 @@ type cont struct {
 // pin takes one teardown ref on o. The caller holds a latch under which o
 // has a request queued, so o's release walk has not dropped its bias yet.
 func (o *Owner) pin() *Owner {
-	o.stagedRefs.Add(1)
+	o.refs.Add(1)
 	return o
 }
 
@@ -1500,7 +1437,7 @@ func (m *Manager) drainConts() {
 		m.contN.Add(-1)
 		c.fn(m, c.req, c.err)
 		if c.pin != nil {
-			m.dropStagedRef(c.pin)
+			m.dropRef(c.pin)
 		}
 	}
 }
@@ -1564,13 +1501,12 @@ func (m *Manager) NewOwner(a *App) *Owner {
 		}
 	}
 	o.id, o.app = m.nextOwner, a
-	o.stagedRefs.Store(1) // the release walk's bias
+	o.refs.Store(1) // the release walk's bias
 	if m.owners != nil {
 		m.owners.regPrev = o
 	}
 	o.regNext = m.owners
 	m.owners = o
-	m.nOwners++
 	return o
 }
 
@@ -1726,18 +1662,6 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 	o, name := req.owner, req.name
 	req.parked = false
 
-	// Staged group releases (grouprelease.go) are applied before this
-	// request's conflict evaluation can observe them as conflicts, so no
-	// waiter ever blocks behind — and no quota check ever charges for — a
-	// lock whose release has committed. The drain piggybacks on the latch
-	// the caller already holds, so every acquire that lands on a storming
-	// shard is a free flush: the release side's latch acquisition is gone
-	// entirely, not merely amortized. One predictable load when the list
-	// is empty.
-	if s.relHead.Load() != nil {
-		m.drainStagedInline(s, si)
-	}
-
 	o.mu.Lock()
 	if o.released {
 		// Use-after-release: the transaction already committed or
@@ -1811,14 +1735,6 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 		// The full admission pipeline may escalate, which re-enters this
 		// owner's state (releaseGranted takes o.mu); drop o.mu first.
 		o.mu.Unlock()
-		// Every latch is held: apply all staged releases everywhere before
-		// deciding that memory is truly exhausted — they are freeable
-		// structs no escalation should have to reclaim.
-		for i := range m.shards {
-			if ss := &m.shards[i]; ss.relHead.Load() != nil {
-				m.drainStagedInline(ss, i)
-			}
-		}
 		switch m.admitStructsGlobal(req) {
 		case admitDone:
 			return true // pipeline completed the pending (denied/parked)
@@ -1876,23 +1792,7 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 // enqueueWaiter queues req on h's waiter list and registers it in the
 // shard's waiting set. Caller holds the shard latch (and every other
 // latch in global mode) but not o.mu.
-//
-// The staged-release re-check after the enqueue closes a lost-trigger
-// race with the group-release walk (grouprelease.go): a batch staged
-// during this latched section races its walk-end flush trigger against
-// this enqueue — maybeFlushShard's nWaiting load can run before
-// addWaiting's store and, with the list below the combining threshold,
-// skip the flush, leaving this waiter blocked behind an already-committed
-// release with no trigger left on a quiet shard. The accesses cross
-// (stager: push relHead, then load nWaiting; here: store nWaiting, then
-// load relHead — all sequentially consistent), so at least one side
-// always observes the other: either the trigger sees the waiter and
-// flushes, or the re-check sees the batch and drains it under the latch
-// already held — symmetric with the entry check in startRequest.
 func (m *Manager) enqueueWaiter(s *shard, si int, h *lockHeader, req *request) {
-	if m.preEnqueueHook != nil {
-		m.preEnqueueHook()
-	}
 	m.beginWait(req)
 	h.waiters = append(h.waiters, req)
 	req.header = h
@@ -1909,9 +1809,6 @@ func (m *Manager) enqueueWaiter(s *shard, si int, h *lockHeader, req *request) {
 			name: h.name, mode: req.mode, owner: req.owner.id, val: int64(depth)})
 	}
 	m.settleFast(s, h)
-	if s.relHead.Load() != nil {
-		m.drainStagedInline(s, si)
-	}
 }
 
 // startConversion upgrades a granted request to target mode, waiting in the
@@ -1938,9 +1835,6 @@ func (m *Manager) startConversion(cur *request, target Mode, p *Pending, onGrant
 		m.settleFast(s, h)
 		return
 	}
-	if m.preEnqueueHook != nil {
-		m.preEnqueueHook()
-	}
 	m.beginWait(cur)
 	h.converters = append(h.converters, cur)
 	s.addWaiting(cur)
@@ -1952,13 +1846,6 @@ func (m *Manager) startConversion(cur *request, target Mode, p *Pending, onGrant
 			name: h.name, mode: target, owner: cur.owner.id, val: int64(depth)})
 	}
 	m.settleFast(s, h)
-	// Same lost-trigger re-check as enqueueWaiter: a release staged during
-	// this latched section may hold exactly the incompatible grant this
-	// conversion is queued behind, and its walk-end trigger may have read
-	// nWaiting before the addWaiting store above.
-	if s.relHead.Load() != nil {
-		m.drainStagedInline(s, si)
-	}
 }
 
 // canConvert reports whether cur can convert to target given the other
@@ -2227,13 +2114,15 @@ func (m *Manager) grant(req *request) {
 }
 
 // grantDeferred is grant with the wake-side work optionally coalesced: with
-// a non-nil drain the Pending completion (a channel close — a runtime
-// wakeup) and the onGrant continuation are appended to the drain's wake
-// list instead of firing under the latch; the release walk fires them in
-// one pass after every latch has been dropped (fireWakes). Everything the
-// lock-table invariants depend on — the grant install, the wait-histogram
-// sample, the inWait decrement — still happens here, under the latch, so a
-// stopped world never observes a granted request still counted as waiting.
+// a non-nil drain the Pending's signal (a wake send or channel close — a
+// runtime wakeup) and the onGrant continuation are appended to the drain's
+// wake list instead of firing under the latch; the release walk fires them
+// in one pass after every latch has been dropped (fireWakes). Everything
+// the lock-table invariants and Status depend on — the grant install, the
+// wait-histogram sample, the inWait decrement, the Pending's terminal
+// status — still happens here, under the latch, so a stopped world never
+// observes a granted request still counted as waiting, and an owner whose
+// ReleaseAll returns never sees its own granted request read as waiting.
 func (m *Manager) grantDeferred(req *request, d *releaseDrain) {
 	m.stats.grants.Add(1)
 	if m.flight != nil && !req.waitStart.IsZero() {
@@ -2253,6 +2142,9 @@ func (m *Manager) grantDeferred(req *request, d *releaseDrain) {
 	req.pending = nil
 	req.onGrant, req.onDeny = nil, nil
 	if d != nil {
+		if p != nil && !p.settle(StatusGranted, nil) {
+			p = nil // already terminal: nothing to signal
+		}
 		if p != nil || c.fn != nil {
 			d.wakes = append(d.wakes, wakeEntry{p: p, c: c})
 		}
@@ -2415,10 +2307,10 @@ func (s *shard) syncTableMirror() {
 func (m *Manager) post(s *shard, h *lockHeader, d *releaseDrain) {
 	m.postQueues(s, h, d)
 	// Refill the active queue from the culled set once the grant pass has
-	// drained what it can: every posting site — direct releases, denials,
-	// and the group-release flush leader's deferred posting pass
-	// (finishShardVisit) — feeds culled waiters back as headroom opens, so
-	// reactivation piggybacks on the latches those paths already hold.
+	// drained what it can: every posting site — a release visit's posting
+	// pass (finishShardVisit) and denials — feeds culled waiters back as
+	// headroom opens, so reactivation piggybacks on the latches those paths
+	// already hold.
 	if len(h.culled) != 0 {
 		m.reactivateCulled(s, h)
 	}
@@ -2596,9 +2488,14 @@ func (m *Manager) cancel(o *Owner, name Name) {
 // revalidation: a request is released only if it is still the owner's live
 // entry for its name.
 //
-// Wakeups. A request already waiting when ReleaseAll is called that the
-// release unblocks is granted before ReleaseAll returns: shards with
-// waiters are released under their latch, never staged.
+// Contract. When ReleaseAll returns, every lock the owner held is out of
+// the lock table and its structures are back in the shard pools, so
+// UsedStructs no longer counts them; a request already waiting when it was
+// called that the release unblocks is already granted. Every shard visit
+// applies the owner's batch under that shard's latch, and the deferred
+// grant wakeups fire before the call returns. Only the Owner struct itself
+// may outlive the call: FinishOwner recycles it once the queued
+// continuations naming it have run.
 func (m *Manager) ReleaseAll(o *Owner) {
 	m.releaseAll(o, false)
 }
@@ -2607,10 +2504,9 @@ func (m *Manager) ReleaseAll(o *Owner) {
 // guarantee exclusive ownership of o: no concurrent or later use of the
 // pointer, by ReleaseAll or anything else. (The transaction layer
 // qualifies — its state machine calls finish exactly once.) Every owner is
-// recycled, waited or not: the pool takes it once the last deferred
-// reference to it (a staged batch, a queued continuation) is gone.
-// ReleaseAll itself keeps the stronger guarantee that duplicate concurrent
-// calls are harmless.
+// recycled, waited or not: the pool takes it once the last queued
+// continuation naming it has run. ReleaseAll itself keeps the stronger
+// guarantee that duplicate concurrent calls are harmless.
 func (m *Manager) FinishOwner(o *Owner) {
 	m.releaseAll(o, true)
 }
@@ -2618,7 +2514,7 @@ func (m *Manager) FinishOwner(o *Owner) {
 // releaseAll does the work; it reports whether this call performed the
 // release (false when a racing ReleaseAll got there first). recycle is
 // FinishOwner's exclusive-pointer promise: when set the owner is pooled
-// once its teardown refcount (stagedRefs) drains.
+// once its teardown refcount (refs) drains.
 func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 	// Release-latency sampling: one in relSampler.Stride() commits pays
 	// for the two clock reads bracketing the walk. The stride counter is
@@ -2642,19 +2538,16 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 	// Snapshot (name, request, shard) triples, rows before tables. Names
 	// are copied out of the held index — revalidation and shard routing
 	// never dereference a request pointer that a concurrent continuation
-	// might have released (and recycling might have rewritten). The batch,
-	// the drain, and the staged-batch arsenal are all owner-embedded
-	// scratch, so the steady-state commit walk allocates nothing and
-	// touches no sync.Pool.
+	// might have released (and recycling might have rewritten). The batch
+	// and the drain are owner-embedded scratch, so the steady-state commit
+	// walk allocates nothing and touches no sync.Pool.
 	batch := &o.walkBatch
 	batch.reset()
 	shards := o.touchedShards(batch.buf[:0])
 	if quiesced {
-		// Snapshot AND detach in one pass: from here on the batch (and
-		// any per-shard staged copies of it) is the only path to these
-		// requests, so flush leaders never touch the owner's indexes.
+		// Snapshot AND detach in one pass: the whole commit pays one o.mu
+		// section, and the shard visits below never take o.mu again.
 		batch.collectDetach(m, o)
-		o.sbUsed = 0
 	}
 	o.mu.Unlock()
 
@@ -2663,62 +2556,42 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 		if quiesced && !batch.hasShard(si) {
 			continue // nothing held there and no waits in flight
 		}
-		if quiesced {
-			// Commit path: group release. The visit latches the shard
-			// when it has waiters or the latch is free; otherwise the batch
-			// is staged on the shard's MPSC list for a flush leader to apply
-			// together with every other committer's (grouprelease.go).
-			m.releaseShardGrouped(si, o, batch, drain)
-			continue
-		}
 		s := m.lockShard(si)
-		// Abort path: withdraw this shard's waiting requests first
-		// (queued waiters, parked requests, in-flight conversions —
-		// a denied conversion reverts to its granted mode and is
-		// then released below). Skipped entirely when the shard has
-		// no waiters at all.
-		// A denial unlinks and may grant others: rescan from the head.
-		for req := s.waitHead; req != nil; {
-			if req.owner == o {
-				m.deny(req, ErrCanceled)
-				req = s.waitHead
-				continue
+		if !quiesced {
+			// Abort path: withdraw this shard's waiting requests first
+			// (queued waiters, parked requests, in-flight conversions —
+			// a denied conversion reverts to its granted mode and is
+			// then released below). Skipped entirely when the shard has
+			// no waiters at all.
+			// A denial unlinks and may grant others: rescan from the head.
+			for req := s.waitHead; req != nil; {
+				if req.owner == o {
+					m.deny(req, ErrCanceled)
+					req = s.waitHead
+					continue
+				}
+				req = req.wnext
 			}
-			req = req.wnext
+			// Re-read the held set for this shard: a wait granted after
+			// the release flag was set landed here under this latch.
+			batch.reset()
+			o.mu.Lock()
+			batch.collectShard(m, o, si)
+			o.mu.Unlock()
 		}
-		// Re-read the held set for this shard: a wait granted after
-		// the release flag was set landed here under this latch.
-		batch.reset()
-		o.mu.Lock()
-		batch.collectShard(m, o, si)
-		o.mu.Unlock()
-		m.releaseShardPhase1(s, si, o, batch, false, drain)
+		m.releaseShardPhase1(s, si, o, batch, quiesced, drain)
 		m.relBatches.Shard(si).Inc()
 		m.finishShardVisit(s, si, drain)
 		m.unlockShard(s)
 	}
-	// Flush triggers: the walk staged fire-and-forget batches on storming
-	// shards; before letting go, elect this committer flush leader on any
-	// touched shard whose staging list is due — enough batches for a
-	// worthwhile combined drain, or waiters that must not be left behind
-	// staged releases. The drained grants merge into this walk's wake
-	// pass. Shards below both bars keep accumulating: the next commit,
-	// the next conflicting acquire (which always flushes first), or an
-	// invariant sweep picks them up.
-	if quiesced {
-		for _, si := range shards {
-			m.maybeFlushShard(si, drain)
-		}
-	}
 	batch.buf = shards[:0]
 	batch.reset()
 
-	// The single deferred wake pass: every FIFO grant the walk (and any
-	// staged batches its shard visits drained) produced is completed here,
-	// with no latches held — wake-side work never re-latches a shard the
-	// walk already dropped. The owner-embedded drain is safe to use up to
-	// this point: the walk's stagedRefs bias (dropped below, last) keeps
-	// the owner from being recycled under it.
+	// The single deferred wake pass: every FIFO grant the walk produced is
+	// signalled here, with no latches held — wake-side work never
+	// re-latches a shard the walk already dropped. The owner-embedded
+	// drain is safe to use up to this point: the walk's refs bias
+	// (dropped below, last) keeps the owner from being recycled under it.
 	m.fireWakes(drain)
 
 	if sampled {
@@ -2738,23 +2611,28 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 		o.regNext.regPrev = o.regPrev
 	}
 	o.regPrev, o.regNext = nil, nil
-	m.nOwners--
-	lastOut := m.nOwners == 0
 	m.ownersMu.Unlock()
 	m.flushConts()
-	if lastOut {
-		// Last one out turns off the lights: with no owner left to commit
-		// (and thus no future flush trigger), force-apply every staged
-		// batch so an idle manager charges nothing for finished
-		// transactions. New owners registering concurrently stage into
-		// freshly observed lists and carry their own triggers.
-		m.flushAllStaged(drain)
-	}
 
-	// Drop the owner's stagedRefs bias — the walk's very last touch of the
-	// owner — performing the teardown unless something still holds a ref.
-	m.dropStagedRef(o)
+	// Drop the owner's refs bias — the walk's very last touch of the owner
+	// — performing the teardown unless a continuation still holds a ref.
+	m.dropRef(o)
 	return true
+}
+
+// dropRef releases one hold on the owner's teardown count; the drop to
+// zero performs the deferred FinishOwner recycling when it was promised.
+// The atomic decrement orders the teardown after every other use of the
+// owner.
+func (m *Manager) dropRef(o *Owner) {
+	if o.refs.Add(-1) == 0 && o.recycleOnZero {
+		if len(o.wake) != 0 {
+			m.wakeLeaks.Add(1)
+			<-o.wake
+		}
+		o.resetForReuse()
+		m.ownerPool.Put(o)
+	}
 }
 
 // resetForReuse returns the owner to its zero state (keeping the sized
@@ -2770,14 +2648,12 @@ func (o *Owner) resetForReuse() {
 	}
 	o.inWait.Store(0)
 	o.obsTick = 0
-	o.stagedRefs.Store(0)
+	o.refs.Store(0)
 	o.recycleOnZero = false
 	// A scan's walk scratch is not pooled: it would stay live, and be
 	// scanned by every collection, for as long as the owner circulates.
-	for _, b := range [...]*releaseBatch{&o.walkBatch, &o.sbArsenal[0], &o.sbArsenal[1]} {
-		if cap(b.rows) > heldKeepSlots || cap(b.live) > heldKeepSlots {
-			b.rows, b.live = nil, nil
-		}
+	if b := &o.walkBatch; cap(b.rows) > heldKeepSlots || cap(b.live) > heldKeepSlots {
+		b.rows, b.live = nil, nil
 	}
 	if cap(o.drain.hdrs) > heldKeepSlots {
 		o.drain.hdrs = nil
@@ -2796,8 +2672,8 @@ type releaseEntry struct {
 
 // releaseBatch snapshots an owner's held locks for the touched-shard
 // release walk: two flat slices (rows, then tables — the pinned per-shard
-// release order) plus a bitmap of the shards they live in. Batches are
-// pooled and their slices keep their capacity across commits, so the
+// release order) plus a bitmap of the shards they live in. The batch is
+// owner scratch and its slices keep their capacity across commits, so the
 // steady-state walk allocates nothing.
 type releaseBatch struct {
 	rows   []releaseEntry
@@ -2805,27 +2681,12 @@ type releaseBatch struct {
 	shards [maxShardWords]uint64
 	buf    []int // scratch for touchedShards
 	live   []*request
-
-	// Staging fields (grouprelease.go). A commit visiting a storming
-	// shard copies that shard's entries into a dedicated pooled batch and
-	// publishes it on the shard's MPSC list — fire-and-forget: the
-	// entries were already detached from the owner's indexes at collect
-	// time, so the stager never touches the batch again and a flush
-	// leader returns it to the pool after applying it. next links the
-	// staging list: it is written before the publishing CAS and read only
-	// after the leader's Swap, so it needs no atomicity of its own.
-	next        *releaseBatch
-	stagedOwner *Owner
-	pooled      bool // from releaseBatchPool (vs owner arsenal): leader returns it
-	stagedShard int
 }
 
-var releaseBatchPool = sync.Pool{New: func() any { return new(releaseBatch) }}
-
 // reset empties the batch, keeping its slices' capacity but not their
-// contents: a batch outlives its walk (owner scratch, arsenal slot or pool),
-// and a stale entry would keep its request — and through a never-recycled
-// request its owner, and that owner's scratch in turn — from being collected.
+// contents: a batch outlives its walk (it is owner scratch), and a stale
+// entry would keep its request — and through a never-recycled request its
+// owner, and that owner's scratch in turn — from being collected.
 func (b *releaseBatch) reset() {
 	clear(b.rows)
 	clear(b.tables)
@@ -2858,13 +2719,13 @@ func (b *releaseBatch) collect(m *Manager, o *Owner) {
 // collectDetach buckets every held lock and then wipes the owner's held
 // and per-table indexes wholesale. Caller holds o.mu and has proved the
 // owner quiesced (released set, inWait == 0), so the snapshot is exact and
-// nothing can repopulate the indexes. Detaching here — rather than under
-// each shard latch during the walk — is what makes staged batches
-// self-contained: a flush leader applying one touches the lock table, the
-// request, and the app's atomic quota, but never the owner's indexes, so
-// leaders on different shards can apply the same owner's batches
-// concurrently. The requests stay granted (table truth is untouched until
-// a latched drain applies the batch); only the owner-side view is gone.
+// nothing can repopulate the indexes. Detaching here — one clear in the
+// o.mu section the commit already holds, rather than one o.mu section and
+// one index delete per lock under each shard latch — is what makes the
+// batch frozen: the shard visits touch the lock table, the requests, and
+// the app's atomic quota, never o.mu. The requests stay granted in the
+// table until their shard's visit applies the batch; only the owner-side
+// view is gone.
 func (b *releaseBatch) collectDetach(m *Manager, o *Owner) {
 	b.collect(m, o)
 	o.clearIndexes()
@@ -2888,9 +2749,8 @@ func (b *releaseBatch) collectShard(m *Manager, o *Owner, si int) {
 // acquires into the shard's cache. Headers that still need a FIFO posting
 // pass, the pooled frees awaiting one SettleFree, and the fast credit
 // awaiting one recredit accumulate into the drain: the caller finishes the
-// visit — settle once, post once — with finishShardVisit, after applying
-// every batch it means to (its own plus any staged by other committers).
-// Caller holds the shard latch.
+// visit — settle once, post once — with finishShardVisit. Caller holds the
+// shard latch.
 //
 // frozen says the caller proved the owner's held set can no longer change
 // concurrently (the quiesced commit path: released was set under o.mu with
@@ -2898,12 +2758,9 @@ func (b *releaseBatch) collectShard(m *Manager, o *Owner, si int) {
 // and no waits or escalation continuations exist to complete). Frozen
 // batches were also detached from the owner's indexes at collect time
 // (collectDetach), so the frozen walk touches only the requests, the lock
-// table, and the app's atomic quota — never o.mu or the held index. That
-// is what lets flush leaders on different shards apply the same owner's
-// staged batches concurrently: each request lives in exactly one batch,
-// and everything a leader touches is either request-local or guarded by
-// the latch it holds. The abort path (waits in flight) passes frozen=false
-// and pays o.mu plus pointer revalidation.
+// table, and the app's atomic quota — never o.mu or the held index. The
+// abort path (waits in flight) passes frozen=false and pays o.mu plus
+// pointer revalidation.
 func (m *Manager) releaseShardPhase1(s *shard, si int, o *Owner, b *releaseBatch, frozen bool, d *releaseDrain) {
 	live := b.live[:0]
 	if !frozen {
@@ -2940,11 +2797,8 @@ func (m *Manager) releaseShardPhase1(s *shard, si int, o *Owner, b *releaseBatch
 	}
 	// Unlink every released request from the lock table and return its
 	// structures to the shard pool, accumulating the chain and app
-	// accounting instead of paying an atomic per lock. Within one batch
-	// headers are distinct (one request per name per owner), but a leader
-	// draining several batches can meet the same header again — the
-	// postPending flag queues it for the posting pass exactly once. A
-	// published queue-free header is settled immediately after its unlink —
+	// accounting instead of paying an atomic per lock. A published
+	// queue-free header is settled immediately after its unlink —
 	// post would be a no-op and cacheOrEvictDeferred keeps it resident
 	// regardless — so the hot headers of a fast-path workload are fenced
 	// for one holder removal, not the whole batch. (The word reopens before
@@ -2995,21 +2849,21 @@ func (m *Manager) releaseShardPhase1(s *shard, si int, o *Owner, b *releaseBatch
 		h.recomputeGroupMode()
 		if h.published && len(h.converters) == 0 && len(h.waiters) == 0 && len(h.culled) == 0 {
 			m.settleFast(s, h)
-		} else if !h.postPending {
-			h.postPending = true
+		} else {
+			// One batch per visit and one request per name per owner, so
+			// each header is appended at most once.
 			d.hdrs = append(d.hdrs, h)
 		}
 	}
 	d.poolFreed += poolFreed
 	d.fastFreed += fastFreed
-	// App quota settles per batch (each batch has its own application);
-	// chain and pool totals settle once per visit in finishShardVisit.
+	// App quota settles here; chain and pool totals settle once per visit
+	// in finishShardVisit.
 	if weightFreed > 0 {
 		o.app.structs.Add(-int64(weightFreed))
 	}
 	// Box recycling: live requests are fully unlinked (granted, so on no
-	// queue the posting pass could reach) — recycle before the drain moves
-	// on to the next batch.
+	// queue the posting pass could reach) — recycle them before posting.
 	for _, r := range live {
 		if r.recyclable {
 			if len(s.rfree) < boxFreelistCap {
@@ -3032,13 +2886,12 @@ func (m *Manager) releaseShardPhase1(s *shard, si int, o *Owner, b *releaseBatch
 	b.live = live[:0]
 }
 
-// finishShardVisit completes a latched release visit after every batch —
-// the caller's own and any staged ones — has gone through
-// releaseShardPhase1: settle the pooled frees and fast credit once, run the
-// FIFO posting pass over the deferred headers (grant completions coalesce
-// into the drain's wake list), and sync the table mirror once. Caller holds
-// the shard latch and drops it right after; the wakes fire later, with no
-// latches held (fireWakes).
+// finishShardVisit completes a latched release visit after the batch has
+// gone through releaseShardPhase1: settle the pooled frees and fast credit
+// once, run the FIFO posting pass over the deferred headers (grant
+// completions coalesce into the drain's wake list), and sync the table
+// mirror once. Caller holds the shard latch and drops it right after; the
+// wakes fire later, with no latches held (fireWakes).
 func (m *Manager) finishShardVisit(s *shard, si int, d *releaseDrain) {
 	// Settle accounting before posting: a grant fired by post reads the
 	// app quota and chain usage, and must see the whole release.
@@ -3050,7 +2903,6 @@ func (m *Manager) finishShardVisit(s *shard, si int, d *releaseDrain) {
 	evicted := false
 	wakes0 := len(d.wakes)
 	for _, h := range d.hdrs {
-		h.postPending = false
 		m.post(s, h, d)
 		evicted = s.cacheOrEvictDeferred(h) || evicted
 		m.settleFast(s, h)
@@ -3064,6 +2916,59 @@ func (m *Manager) finishShardVisit(s *shard, si int, d *releaseDrain) {
 	d.hdrs = d.hdrs[:0]
 	d.poolFreed, d.fastFreed = 0, 0
 }
+
+// wakeEntry is one deferred FIFO grant wakeup: the settled Pending to
+// signal and/or the onGrant continuation to enqueue. The grant itself
+// (install, accounting, inWait, the Pending's status) was applied under
+// the latch; only the notification is deferred.
+type wakeEntry struct {
+	p *Pending
+	c cont // the onGrant continuation, its owner already pinned
+}
+
+// releaseDrain accumulates the release walk's deferred work: the
+// per-visit posting list and settle totals (reset by finishShardVisit),
+// and the walk-wide wake list (fired by fireWakes once every latch is
+// dropped). Owner scratch; the steady-state commit walk allocates nothing.
+type releaseDrain struct {
+	hdrs      []*lockHeader // deferred posting pass
+	poolFreed int           // pooled frees awaiting one SettleFree
+	fastFreed int           // fast credit awaiting one recredit
+	wakes     []wakeEntry   // deferred grant completions, FIFO per header
+}
+
+// fireWakes delivers the walk's deferred grant wakeups — Pending signals
+// and onGrant continuations — in the order post() granted them. Caller
+// holds no latches.
+func (m *Manager) fireWakes(d *releaseDrain) {
+	for i := range d.wakes {
+		e := &d.wakes[i]
+		if e.p != nil {
+			e.p.signal() // settled under the latch by grantDeferred
+		}
+		if e.c.fn != nil {
+			m.enqueueCont(e.c)
+		}
+		d.wakes[i] = wakeEntry{}
+	}
+	d.wakes = d.wakes[:0]
+}
+
+// ReleaseBatches returns the total number of release batches applied
+// across all shards (one per owner-visit). Lock-free.
+func (m *Manager) ReleaseBatches() int64 { return m.relBatches.Total() }
+
+// ReleaseBatchCounters exposes the per-shard release-batch counters for
+// metrics wiring.
+func (m *Manager) ReleaseBatchCounters() *metrics.ShardCounters { return m.relBatches }
+
+// WakeupsCoalesced returns how many FIFO grant wakeups were deferred out
+// of a latched release section and fired in a post-walk pass. Lock-free.
+func (m *Manager) WakeupsCoalesced() int64 { return m.wakesCoalesced.Total() }
+
+// WakeupsCoalescedCounters exposes the per-shard coalesced-wakeup counters
+// for metrics wiring.
+func (m *Manager) WakeupsCoalescedCounters() *metrics.ShardCounters { return m.wakesCoalesced }
 
 // deadline computes the wait deadline for a new waiter.
 func (m *Manager) deadline() time.Time {

@@ -15,8 +15,7 @@ package lockmgr
 // LockTimeout and owner abort) and stacked on its header's culled LIFO,
 // but holds no lock structures, no quota, no FIFO queue position, and
 // exports no deadlock-graph edges. Reactivation piggybacks on the posting
-// pass (post): direct releases, denials, and the group-release flush
-// leader's deferred posting pass all refill the active queue from the
+// pass (post): releases and denials refill the active queue from the
 // culled stack as headroom opens, re-running the full admission pipeline
 // via a self-latching continuation (retryCulled, the retryParked shape).
 // LIFO order is deliberate — the most recently culled waiter's goroutine

@@ -139,14 +139,11 @@ func Run(cfg Config) *Result {
 	// functions of lock-table state), so neither series is volatile.
 	optHits := set.Series("optimistic hits", "count")
 	optFailures := set.Series("optimistic failures", "count")
-	// Group-release counters advance deterministically under the sim's
-	// single-goroutine tick loop: with one goroutine the commit path never
-	// loses a TryLock, so every batch applies on the direct visit and the
-	// follower-wait series stays zero — a property the determinism test
-	// pins down.
+	// Release-walk counters advance deterministically under the sim's
+	// single-goroutine tick loop: every commit latches each touched shard
+	// once, so both series are pure functions of the workload.
 	relBatches := set.Series("release batches", "count")
 	wakesCoalesced := set.Series("wakeups coalesced", "count")
-	flushFollowers := set.Series("flush follower waits", "count")
 	// Spin-then-park latch outcomes advance deterministically for the same
 	// reason: one goroutine never contends a shard latch, so all three
 	// series stay zero under the sim — the determinism test pins that the
@@ -261,7 +258,6 @@ func Run(cfg Config) *Result {
 			optFailures.Record(now, float64(snap.LockOptimisticFailures))
 			relBatches.Record(now, float64(snap.LockReleaseBatches))
 			wakesCoalesced.Record(now, float64(snap.LockWakeupsCoalesced))
-			flushFollowers.Record(now, float64(snap.LockFlushFollowerWaits))
 			latchSpins.Record(now, float64(snap.LockLatchSpins))
 			latchParks.Record(now, float64(snap.LockLatchParks))
 			latchHandoffs.Record(now, float64(snap.LockLatchHandoffs))

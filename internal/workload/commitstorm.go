@@ -12,7 +12,7 @@ import (
 // CommitStormProfile parameterizes the commit-storm shape: many short
 // write transactions whose row locks are confined to a handful of hot
 // shards, so concurrently committing clients pile onto the same few shard
-// latches — the group-release regime. Most transactions touch
+// latches. Most transactions touch
 // client-private rows (no lock conflicts; the contention is purely on the
 // shard latches), and every SharedEvery-th transaction instead updates a
 // small shared row set in a fixed order, generating genuine FIFO waits —

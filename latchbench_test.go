@@ -12,7 +12,7 @@ package repro
 //   - commitstorm: short 2-lock X transactions confined to 4 hot shards
 //     (the workload package's own storm plan, built on the bare manager
 //     seam), every 8th transaction walking a shared 4-row set — the
-//     group-release regime, where commit visits collide on shard latches.
+//     regime where commit visits collide on shard latches.
 //   - readmostly: 90% S readers on a shared hot set, 10% X writers; the
 //     latch-free admission regime, so residual latch traffic is settles
 //     and fallbacks.
