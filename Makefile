@@ -120,13 +120,13 @@ bench-latch:
 # bench-throttle runs the admission-throttle collapse-curve A/B: one hot
 # exclusive lock swept over g=16..256 with the control plane (timeout
 # sweep, deadlock detector, throttle retune) ticking concurrently.
-# BENCH_THROTTLE_BASELINE.json is the throttle-off leg (THROTTLE=-1): past
-# the knee, each grant pays FIFO removal, wakeup fan-out, and wait-graph
-# export proportional to the live queue, and throughput collapses.
-# BENCH_THROTTLE_LIMITED.json is the fixed-ceiling leg (THROTTLE=8): the
-# excess parks in the culled set and the curve holds near its peak (the
-# acceptance bound is ≥90% of peak at g=256). Pinned iterations keep both
-# legs work-for-work comparable; benchdiff -pct gates regressions.
+# BENCH_THROTTLE_BASELINE.json is the throttle-off leg (THROTTLE=-1, plain
+# FIFO queues); BENCH_THROTTLE_LIMITED.json is the fixed-ceiling leg
+# (THROTTLE=8, waiters past 8 queue newest-first). The off leg once
+# collapsed past the knee because the deadlock detector exported an edge
+# to every earlier waiter; with predecessor-only edges both legs should
+# hold near their peak. Pinned iterations keep both legs work-for-work
+# comparable; benchdiff -pct gates regressions.
 bench-throttle:
 	rm -f BENCH_THROTTLE_BASELINE.json BENCH_THROTTLE_LIMITED.json
 	BENCH_JSON=BENCH_THROTTLE_BASELINE.json THROTTLE=-1 \
@@ -201,13 +201,12 @@ smoke-latch: build
 	wait $$pid
 
 # smoke-throttle is the admission throttle's verify gate: a brief hot-lock
-# hammer against a fixed ceiling must actually cull waiters, and at full
-# drain every culled waiter must have been reactivated (culled > 0,
-# reactivated == culled, invariants clean) — proof the culled set loses
-# no one.
+# hammer against a fixed ceiling must actually queue waiters past the
+# ceiling (culled > 0), every acquire must succeed, and the drained table
+# must pass CheckInvariants.
 smoke-throttle:
 	$(GO) test -run TestThrottleSmoke -count=1 .
-	@echo "smoke-throttle: cull/reactivate accounting OK"
+	@echo "smoke-throttle: queue order OK"
 
 # obs-demo runs the workbench surge workload with the HTTP surface up and
 # curls it mid-run: /metrics must serve lock-wait histogram buckets and
@@ -229,7 +228,7 @@ obs-demo: build
 # the concurrency-sensitive packages, and one-iteration smoke runs of the
 # read-path benches, the commit path's deferred wake pass, the contention
 # profiler's live endpoints, the spin-then-park latch counters on
-# /metrics, and the admission throttle's cull/reactivate accounting; plus
+# /metrics, and the admission throttle's queue order; plus
 # vet and the short tests of the nested bench module.
 verify: fmt vet build test allocs race check-bench smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle
 

@@ -96,7 +96,7 @@ func main() {
 				fmt.Printf("wrote %s\n", path)
 			}
 			if *chart {
-				for _, name := range []string{"lock memory", "throughput", "latch waits", "latch spins", "latch parks", "global stall", "lock release p99", "throttle culled", "throttle reactivated", "throttle ceiling"} {
+				for _, name := range []string{"lock memory", "throughput", "latch waits", "latch spins", "latch parks", "global stall", "lock release p99", "throttle culled", "throttle ceiling"} {
 					if s := outcome.Result.Series.Get(name); s != nil {
 						fmt.Println(metrics.Chart(s, 72, 14))
 					}

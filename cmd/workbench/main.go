@@ -236,8 +236,8 @@ func main() {
 			snap.LockLatchParks, snap.LockLatchHandoffs)
 	}
 	if snap.LockThrottleCulled > 0 {
-		fmt.Printf("admission throttle %d waiters culled, %d reactivated, ceiling %d\n",
-			snap.LockThrottleCulled, snap.LockThrottleReactivated, snap.LockThrottleCeiling)
+		fmt.Printf("admission throttle %d waiters queued behind the ceiling, ceiling %d\n",
+			snap.LockThrottleCulled, snap.LockThrottleCeiling)
 	}
 	fmt.Printf("MAXLOCKS quota    %.1f%%\n", snap.QuotaPercent)
 	if ws := db.Locks().WaitHist().Snapshot(); ws.Total > 0 {

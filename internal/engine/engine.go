@@ -119,9 +119,9 @@ type Config struct {
 	// lockmgr.Config.LatchSpin (0 = adaptive controller, >0 = fixed spin
 	// budget, <0 = park immediately).
 	LatchSpin int
-	// Throttle configures the saturation-aware admission throttle; see
+	// Throttle configures the admission throttle's queue order; see
 	// lockmgr.Config.Throttle (0 = adaptive ceilings retuned on the STMM
-	// cadence, >0 = fixed ceiling, <0 = disabled).
+	// cadence, >0 = fixed ceiling, <0 = disabled: plain FIFO queues).
 	Throttle int
 }
 
@@ -538,25 +538,20 @@ type Snapshot struct {
 	LockLatchSpins    int64
 	LockLatchParks    int64
 	LockLatchHandoffs int64
-	// LockThrottleCulled counts waiters the saturation-aware admission
-	// throttle diverted into the passive culled set;
-	// LockThrottleReactivated counts culled waiters fed back into the
-	// admission pipeline as the active queue drained (the remainder were
-	// denied in place or are still parked). LockThrottleCeiling is the
-	// highest engaged per-shard concurrency ceiling (0 = fully
-	// disengaged).
-	LockThrottleCulled      int64
-	LockThrottleReactivated int64
-	LockThrottleCeiling     int
-	QuotaPercent            float64
-	Overflow                int
-	OverflowGoal            int
-	BufferPoolPages         int
-	SortHeapPages           int
-	Commits, Aborts         int64
-	ActiveTxns              int
-	NumApps                 int
-	LMOC                    int
+	// LockThrottleCulled counts waiters the admission throttle queued
+	// behind a ceiling, newest-first. LockThrottleCeiling is the highest
+	// engaged per-shard ceiling (0 = fully disengaged).
+	LockThrottleCulled  int64
+	LockThrottleCeiling int
+	QuotaPercent        float64
+	Overflow            int
+	OverflowGoal        int
+	BufferPoolPages     int
+	SortHeapPages       int
+	Commits, Aborts     int64
+	ActiveTxns          int
+	NumApps             int
+	LMOC                int
 }
 
 // Snapshot captures the current engine state.
@@ -564,34 +559,33 @@ func (db *Database) Snapshot() Snapshot {
 	mem := db.set.Snapshot()
 	commits, aborts, active := db.txns.Stats()
 	s := Snapshot{
-		LockPages:               db.locks.Pages(),
-		UsedStructs:             db.locks.UsedStructs(),
-		CapacityStructs:         db.locks.CapacityStructs(),
-		FreeFraction:            db.locks.FreeFraction(),
-		LockStats:               db.locks.Stats(),
-		LockLatchWaits:          db.locks.LatchWaits(),
-		LockGlobalRuns:          db.locks.GlobalRuns(),
-		LockGlobalHoldMax:       db.locks.GlobalHoldMax(),
-		LockFastPathHits:        db.locks.FastPathHits(),
-		LockFastPathFallbacks:   db.locks.FastPathFallbacks(),
-		LockOptimisticHits:      db.locks.OptimisticHits(),
-		LockOptimisticFailures:  db.locks.OptimisticFailures(),
-		LockReleaseBatches:      db.locks.ReleaseBatches(),
-		LockWakeupsCoalesced:    db.locks.WakeupsCoalesced(),
-		LockLatchSpins:          db.locks.LatchSpinHits(),
-		LockLatchParks:          db.locks.LatchParks(),
-		LockLatchHandoffs:       db.locks.LatchHandoffs(),
-		LockThrottleCulled:      db.locks.ThrottleCulled(),
-		LockThrottleReactivated: db.locks.ThrottleReactivated(),
-		LockThrottleCeiling:     db.locks.ThrottleCeilingMax(),
-		Overflow:                mem.Overflow,
-		OverflowGoal:            mem.OverflowGoal,
-		BufferPoolPages:         mem.HeapPages["bufferpool"],
-		SortHeapPages:           mem.HeapPages["sortheap"],
-		Commits:                 commits,
-		Aborts:                  aborts,
-		ActiveTxns:              active,
-		NumApps:                 db.locks.NumApps(),
+		LockPages:              db.locks.Pages(),
+		UsedStructs:            db.locks.UsedStructs(),
+		CapacityStructs:        db.locks.CapacityStructs(),
+		FreeFraction:           db.locks.FreeFraction(),
+		LockStats:              db.locks.Stats(),
+		LockLatchWaits:         db.locks.LatchWaits(),
+		LockGlobalRuns:         db.locks.GlobalRuns(),
+		LockGlobalHoldMax:      db.locks.GlobalHoldMax(),
+		LockFastPathHits:       db.locks.FastPathHits(),
+		LockFastPathFallbacks:  db.locks.FastPathFallbacks(),
+		LockOptimisticHits:     db.locks.OptimisticHits(),
+		LockOptimisticFailures: db.locks.OptimisticFailures(),
+		LockReleaseBatches:     db.locks.ReleaseBatches(),
+		LockWakeupsCoalesced:   db.locks.WakeupsCoalesced(),
+		LockLatchSpins:         db.locks.LatchSpinHits(),
+		LockLatchParks:         db.locks.LatchParks(),
+		LockLatchHandoffs:      db.locks.LatchHandoffs(),
+		LockThrottleCulled:     db.locks.ThrottleCulled(),
+		LockThrottleCeiling:    db.locks.ThrottleCeilingMax(),
+		Overflow:               mem.Overflow,
+		OverflowGoal:           mem.OverflowGoal,
+		BufferPoolPages:        mem.HeapPages["bufferpool"],
+		SortHeapPages:          mem.HeapPages["sortheap"],
+		Commits:                commits,
+		Aborts:                 aborts,
+		ActiveTxns:             active,
+		NumApps:                db.locks.NumApps(),
 	}
 	if db.ctl != nil {
 		s.QuotaPercent = db.ctl.CurrentQuota()

@@ -188,14 +188,11 @@ func (db *Database) WriteMetrics(m *obs.MetricWriter) {
 	m.CounterVec("lockmem_wakeups_coalesced_total", "grant wakeups deferred out of latched release sections", "shard",
 		db.locks.WakeupsCoalescedCounters().Values())
 
-	// Saturation-aware admission throttle: waiters culled into the passive
-	// set, culled waiters reactivated as the active queue drained, and
-	// each shard's live concurrency ceiling (0 = disengaged). Ceiling
-	// changes are replayable from the decision log (kind "throttle-tune").
-	m.CounterVec("lockmem_throttle_culled_total", "waiters culled by the admission throttle", "shard",
+	// Admission throttle: waiters queued behind a ceiling (newest-first)
+	// and each shard's live ceiling (0 = disengaged). Ceiling changes are
+	// replayable from the decision log (kind "throttle-tune").
+	m.CounterVec("lockmem_throttle_culled_total", "waiters queued behind the admission throttle's ceiling", "shard",
 		db.locks.ThrottleCulledValues())
-	m.CounterVec("lockmem_throttle_reactivated_total", "culled waiters reactivated into the admission pipeline", "shard",
-		db.locks.ThrottleReactivatedValues())
 	ceilings := db.locks.ThrottleCeilings()
 	ceil64 := make([]int64, len(ceilings))
 	for i, c := range ceilings {

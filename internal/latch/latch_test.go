@@ -1,6 +1,7 @@
 package latch
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -57,7 +58,11 @@ func TestLockProfiledContended(t *testing.T) {
 		l.Unlock()
 		done <- waitNs
 	}()
-	time.Sleep(2 * time.Millisecond)
+	// lockSlow counts the acquire as contended before it spins or parks,
+	// so once the count moves the goroutine is in the slow path.
+	for l.Contended() == 0 {
+		runtime.Gosched()
+	}
 	l.Unlock()
 	if waitNs := <-done; waitNs <= 0 {
 		t.Fatalf("contended LockProfiled measured %d ns", waitNs)

@@ -128,7 +128,7 @@ func TestTransactionAllocations(t *testing.T) {
 
 // TestRecycledWaitHammer: every transaction waits, and the owners and
 // request boxes of waited transactions are recycled while the whole control
-// plane runs against them: culls and reactivations (Throttle 2), a short
+// plane runs against them: waiters queued past a ceiling (Throttle 2), a short
 // lock timeout, cancels through ctx, deadlock detection, timeout sweeps and
 // invariant checks. Workers take their rows in ascending order, so no
 // deadlock is real: a victim here would be a false one, the detector acting
@@ -161,6 +161,7 @@ func TestRecycledWaitHammer(t *testing.T) {
 						}
 						break
 					}
+					runtime.Gosched() // hold across a yield so the others queue
 				}
 				cancel()
 				m.FinishOwner(o)
@@ -202,8 +203,10 @@ func TestRecycledWaitHammer(t *testing.T) {
 	if s := m.Stats(); s.Waits < n/2 || s.Deadlocks != 0 {
 		t.Errorf("%d transactions, %d waits, %d deadlock victims: want most to wait and no victim", n, s.Waits, s.Deadlocks)
 	}
-	m.SweepTimeouts()
-	throttleIdentity(t, m)
+	if got := waitingNow(m); got != 0 {
+		t.Errorf("%d waiters left after every transaction finished", got)
+	}
+	mustInvariants(t, m)
 	if got := m.UsedStructs(); got != 0 {
 		t.Errorf("used structs = %d after every transaction finished", got)
 	}

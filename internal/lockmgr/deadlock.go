@@ -1,6 +1,9 @@
 package lockmgr
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Deadlock detection: a periodic waits-for-graph sweep, complementing lock
 // wait timeouts. Escalations to exclusive table locks readily produce
@@ -18,9 +21,9 @@ import "sort"
 //  1. Export. Each shard's wait-for edges (waiting request → blocking
 //     owners) are read under that shard's latch alone. waitEdges only
 //     touches the request's header — granted group, converter queue,
-//     earlier waiters — and a lock's entire queue lives in its home shard,
-//     so a single latch suffices. The result is a fuzzy snapshot: shards
-//     are sampled at different instants.
+//     immediate predecessor — and a lock's entire queue lives in its home
+//     shard, so a single latch suffices. The result is a fuzzy snapshot:
+//     shards are sampled at different instants.
 //  2. Search. The owner-level graph is assembled and DFS cycle detection
 //     runs with no latches held at all. Each candidate cycle is kept as an
 //     explicit edge list, every edge carrying the waiting request that
@@ -43,15 +46,26 @@ import "sort"
 // and its granted locks survive (a denied conversion reverts to its granted
 // mode), so the transaction layer can roll it back.
 
-// waitEdges returns the owners blocking req. Caller holds req's home shard
-// latch (which owns req.header and every request queued on it); no other
-// latches are needed.
+// waitEdges returns the owners blocking req: its incompatible holders and,
+// for a waiter, every converter and its immediate predecessor. Every
+// earlier waiter is reachable through the predecessor chain, so the graph
+// has a cycle exactly when the "every earlier waiter" edge set does, at
+// O(1) edges per waiter. Caller holds req's home shard latch (which owns
+// req.header and every request queued on it). Every non-parked wait-list
+// member sits on its header's queues, and a header with queued requests
+// has a fenced grant word (CheckInvariants checks both), so the granted
+// group read here is never one fast ops are writing.
 func (m *Manager) waitEdges(req *request) []*Owner {
+	return m.appendWaitEdges(nil, req, -1)
+}
+
+// appendWaitEdges appends waitEdges(req) to out. i is req's index in its
+// header's waiter queue, or -1 to look it up.
+func (m *Manager) appendWaitEdges(out []*Owner, req *request, i int) []*Owner {
 	h := req.header
 	if h == nil {
-		return nil
+		return out
 	}
-	var out []*Owner
 	want := req.effectiveMode()
 	h.eachGranted(func(g *request) bool {
 		if g.owner != req.owner && !Compatible(want, g.mode) {
@@ -59,29 +73,28 @@ func (m *Manager) waitEdges(req *request) []*Owner {
 		}
 		return true
 	})
-	if !req.converting {
-		// FIFO discipline: a waiter is also behind every converter and
-		// every earlier waiter.
-		for _, c := range h.converters {
-			if c.owner != req.owner {
-				out = append(out, c.owner)
-			}
+	if req.converting {
+		return out
+	}
+	// Queue discipline: a waiter is also behind every converter and its
+	// predecessor.
+	for _, c := range h.converters {
+		if c.owner != req.owner {
+			out = append(out, c.owner)
 		}
-		for _, w := range h.waiters {
-			if w == req {
-				break
-			}
-			if w.owner != req.owner {
-				out = append(out, w.owner)
-			}
-		}
+	}
+	if i < 0 {
+		i = slices.Index(h.waiters, req)
+	}
+	if i > 0 && h.waiters[i-1].owner != req.owner {
+		out = append(out, h.waiters[i-1].owner)
 	}
 	return out
 }
 
 // waitEdge is one observed owner→owner wait: its witness (the waiting
 // request), that request's shard and both owner ids ("Deferred references").
-// waitingBy reuses it, with to unset, for each waiting request of an owner.
+// waitGraph reuses it, with to unset, for each waiting request of an owner.
 type waitEdge struct {
 	from, to     *Owner
 	fromID, toID uint64
@@ -93,7 +106,7 @@ type waitEdge struct {
 // holds via's home shard latch and knows via is in that shard's waiting
 // set, so its fields are safe to read.
 func (m *Manager) stillWaiting(via *request) bool {
-	if !via.inWaitList || via.pending == nil || via.parked || via.culled {
+	if !via.inWaitList || via.pending == nil || via.parked {
 		return false
 	}
 	st, _ := via.pending.Status()
@@ -131,31 +144,33 @@ func (m *Manager) DetectDeadlocks() int {
 	// fuzziness is the same fuzziness the per-shard export already has
 	// (phase 3 re-validates everything). An idle lock table detects with
 	// zero latch acquisitions.
-	edges := make(map[*Owner]map[*Owner]waitEdge)
-	waitingBy := make(map[*Owner][]waitEdge)
+	var raw []waitEdge
+	var buf []*Owner
+	export := func(req *request, si, j int) {
+		from := req.owner
+		raw = append(raw, waitEdge{from: from, fromID: from.id, via: req, si: si})
+		buf = m.appendWaitEdges(buf[:0], req, j)
+		for _, to := range buf {
+			raw = append(raw, waitEdge{from: from, to: to, fromID: from.id, toID: to.id, via: req, si: si})
+		}
+	}
 	for i := range m.shards {
 		if m.shards[i].nWaiting.Load() == 0 {
 			continue
 		}
 		s := m.lockShard(i)
 		for req := s.waitHead; req != nil; req = req.wnext {
-			if req.parked || req.culled {
-				// Parked and culled requests hold no queue position and
-				// export no wait-graph edges. Culled waiters regain
-				// visibility at reactivation; the SweepTimeouts valve
-				// bounds how long that can take (throttle.go).
-				continue
-			}
-			from := req.owner
-			waitingBy[from] = append(waitingBy[from], waitEdge{from: from, fromID: from.id, via: req, si: i})
-			for _, to := range m.waitEdges(req) {
-				set := edges[from]
-				if set == nil {
-					set = make(map[*Owner]waitEdge)
-					edges[from] = set
-				}
-				if _, ok := set[to]; !ok { // first witness wins; any suffices
-					set[to] = waitEdge{from: from, to: to, fromID: from.id, toID: to.id, via: req, si: i}
+			switch {
+			case req.parked:
+				// Parked requests hold no queue position and export no
+				// wait-graph edges.
+			case req.converting:
+				export(req, i, -1)
+			case req.header.waiters[0] == req:
+				// The queue head exports its whole waiter queue, so each
+				// waiter's predecessor is found by index, not by search.
+				for j, w := range req.header.waiters {
+					export(w, i, j)
 				}
 			}
 		}
@@ -164,63 +179,107 @@ func (m *Manager) DetectDeadlocks() int {
 
 	// Phase 2: latch-free DFS over the snapshot graph, collecting each
 	// cycle as an explicit edge list.
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[*Owner]int)
-	index := make(map[*Owner]int) // stack position of grey owners
-	var stack []*Owner
-	var cycles [][]waitEdge
-
-	var dfs func(o *Owner)
-	dfs = func(o *Owner) {
-		color[o] = grey
-		index[o] = len(stack)
-		stack = append(stack, o)
-		for to, e := range edges[o] {
-			switch color[to] {
-			case white:
-				dfs(to)
-			case grey:
-				// Cycle: the stack segment from to..o plus the closing
-				// edge o→to. Consecutive stack entries are connected by
-				// the edges DFS descended through.
-				seg := stack[index[to]:]
-				cyc := make([]waitEdge, 0, len(seg))
-				for k := 0; k+1 < len(seg); k++ {
-					cyc = append(cyc, edges[seg[k]][seg[k+1]])
-				}
-				cyc = append(cyc, e)
-				cycles = append(cycles, cyc)
-			}
-		}
-		stack = stack[:len(stack)-1]
-		delete(index, o)
-		color[o] = black
-	}
-	for o := range edges {
-		if color[o] == white {
-			dfs(o)
-		}
-	}
+	g := newWaitGraph(raw)
+	cycles := g.cycles()
 
 	// Phase 3: re-validate each candidate cycle under only its own shards'
 	// latches; deny the youngest owner of each cycle that survives.
 	n := 0
 	for _, cyc := range cycles {
-		n += m.validateAndBreak(cyc, waitingBy)
+		n += m.validateAndBreak(cyc, g)
 	}
 	m.flushConts()
 	return n
+}
+
+// waitGraph is phase 1's snapshot, grouped by waiting owner: node k's
+// records are recs[first[k]:first[k+1]], one per out-edge plus one with to
+// unset per waiting request.
+type waitGraph struct {
+	idx   map[*Owner]int
+	first []int
+	recs  []waitEdge
+}
+
+// newWaitGraph groups raw by owner with a counting sort, so building the
+// graph allocates per pass, not per owner.
+func newWaitGraph(raw []waitEdge) *waitGraph {
+	g := &waitGraph{idx: make(map[*Owner]int)}
+	for _, e := range raw {
+		if _, ok := g.idx[e.from]; !ok {
+			g.idx[e.from] = len(g.idx)
+		}
+	}
+	g.first = make([]int, len(g.idx)+1)
+	for _, e := range raw {
+		g.first[g.idx[e.from]+1]++
+	}
+	for k := 1; k < len(g.first); k++ {
+		g.first[k] += g.first[k-1]
+	}
+	next := slices.Clone(g.first[:len(g.idx)])
+	g.recs = make([]waitEdge, len(raw))
+	for _, e := range raw {
+		k := g.idx[e.from]
+		g.recs[next[k]] = e
+		next[k]++
+	}
+	return g
+}
+
+// cycles runs DFS over the graph and returns each cycle it closes as the
+// edge list around it. Owners that wait on nothing are never nodes, so
+// an edge to one is a dead end.
+func (g *waitGraph) cycles() [][]waitEdge {
+	const (
+		white = 0
+		grey  = 1
+		black = 2
+	)
+	color := make([]uint8, len(g.idx))
+	pos := make([]int, len(g.idx)) // stack position of grey nodes
+	var path []waitEdge            // path[k] enters the stack's (k+1)th node
+	var cycles [][]waitEdge
+	depth := 0
+
+	var dfs func(k int)
+	dfs = func(k int) {
+		color[k] = grey
+		pos[k] = depth
+		depth++
+		for _, e := range g.recs[g.first[k]:g.first[k+1]] {
+			t, ok := g.idx[e.to]
+			if !ok {
+				continue // a waiting-request record, or an owner waiting on nothing
+			}
+			switch color[t] {
+			case white:
+				path = append(path, e)
+				dfs(t)
+				path = path[:len(path)-1]
+			case grey:
+				// Cycle: the path from t down to k plus the closing edge.
+				cyc := make([]waitEdge, 0, depth-pos[t])
+				cyc = append(cyc, path[pos[t]:]...)
+				cycles = append(cycles, append(cyc, e))
+			}
+		}
+		depth--
+		color[k] = black
+	}
+	for k := range color {
+		if color[k] == white {
+			dfs(k)
+		}
+	}
+	return cycles
 }
 
 // validateAndBreak re-checks one candidate cycle under the latches of the
 // shards hosting its witness requests and, if every edge still holds,
 // denies all waiting requests of the cycle's youngest owner. It returns the
 // number of requests denied (0 for a stale cycle).
-func (m *Manager) validateAndBreak(cyc []waitEdge, waitingBy map[*Owner][]waitEdge) int {
+func (m *Manager) validateAndBreak(cyc []waitEdge, g *waitGraph) int {
 	// Collect the distinct home shards of the cycle's witnesses and latch
 	// them in ascending order — the same protocol runGlobal uses, so
 	// concurrent global sections and other validations cannot deadlock
@@ -264,7 +323,11 @@ func (m *Manager) validateAndBreak(cyc []waitEdge, waitingBy map[*Owner][]waitEd
 	// a latched shard, so the cycle is broken before the latches drop.
 	n := 0
 	var rest []waitEdge
-	for _, w := range waitingBy[victim] {
+	k := g.idx[victim] // every owner on a cycle is a graph node
+	for _, w := range g.recs[g.first[k]:g.first[k+1]] {
+		if w.to != nil {
+			continue // an out-edge, not a waiting request
+		}
 		if _, held := shardSet[w.si]; !held {
 			rest = append(rest, w)
 			continue

@@ -146,3 +146,71 @@ func TestDeadlockVictimIsYoungest(t *testing.T) {
 	}
 	mustWait(t, pOld, "older survives")
 }
+
+// TestWaitEdgesPredecessorOnly pins the exported edge set: each of 64 X
+// waiters behind one X holder exports at most its holder and its immediate
+// predecessor, not one edge per earlier waiter.
+func TestWaitEdgesPredecessorOnly(t *testing.T) {
+	m := newMgr(Config{Shards: 1})
+	row := RowName(1, 1)
+	mustGrant(t, m.AcquireAsync(m.NewOwner(m.RegisterApp()), row, ModeX, 1), "holder X")
+	for i := 0; i < 64; i++ {
+		mustWait(t, m.AcquireAsync(m.NewOwner(m.RegisterApp()), row, ModeX, 1), "X waiter")
+	}
+	s := m.lockShard(0)
+	h := s.header(hashName(row), row)
+	var sizes []int
+	for _, w := range h.waiters {
+		sizes = append(sizes, len(m.waitEdges(w)))
+	}
+	m.unlockShard(s)
+	if len(sizes) != 64 {
+		t.Fatalf("%d waiters queued, want 64", len(sizes))
+	}
+	for i, n := range sizes {
+		if n > 2 {
+			t.Fatalf("waiter %d exports %d edges, want ≤ 2", i, n)
+		}
+	}
+}
+
+// TestDeadlockThroughPredecessorChain: o1 waits on row A behind its holder
+// and ahead of oM and o2, and also on row C, which o2 holds. The full edge
+// set had o2 → o1 directly; the predecessor edges reach o1 only through oM.
+// The cycle o2 → oM → o1 → o2 must still be found in one pass, its victim
+// must be on it, and nothing else may be denied.
+func TestDeadlockThroughPredecessorChain(t *testing.T) {
+	m := newMgr(Config{Shards: 1})
+	rowA, rowC := RowName(1, 1), RowName(1, 3)
+	holder := m.NewOwner(m.RegisterApp())
+	o1 := m.NewOwner(m.RegisterApp())
+	oM := m.NewOwner(m.RegisterApp())
+	o2 := m.NewOwner(m.RegisterApp())
+	mustGrant(t, m.AcquireAsync(holder, rowA, ModeX, 1), "holder X A")
+	mustGrant(t, m.AcquireAsync(o2, rowC, ModeX, 1), "o2 X C")
+	p1A := m.AcquireAsync(o1, rowA, ModeX, 1)
+	pM := m.AcquireAsync(oM, rowA, ModeX, 1)
+	p2 := m.AcquireAsync(o2, rowA, ModeX, 1)
+	p1C := m.AcquireAsync(o1, rowC, ModeX, 1)
+	for _, p := range []*Pending{p1A, pM, p2, p1C} {
+		mustWait(t, p, "queued")
+	}
+
+	if n := m.DetectDeadlocks(); n != 1 {
+		t.Fatalf("first pass denied %d, want 1", n)
+	}
+	// o2 is the youngest owner on the cycle.
+	if st, err := p2.Status(); st != StatusDenied || !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("o2: status=%v err=%v, want deadlock denial", st, err)
+	}
+	for _, p := range []*Pending{p1A, pM, p1C} {
+		mustWait(t, p, "off-victim wait")
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(o2)
+	mustGrant(t, p1C, "o1 C after o2 aborts")
+	m.ReleaseAll(holder)
+	mustGrant(t, p1A, "o1 A after the holder commits")
+}

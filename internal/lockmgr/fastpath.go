@@ -262,7 +262,7 @@ func (m *Manager) settleFast(s *shard, h *lockHeader) {
 		if h.name.Gran != GranTable && h.grantedLen() < 2 {
 			return
 		}
-		if len(h.converters) != 0 || len(h.waiters) != 0 || len(h.culled) != 0 {
+		if len(h.converters) != 0 || len(h.waiters) != 0 {
 			return
 		}
 		slot := &s.fastSlots[fastSlotIndex(hashName(h.name))]
@@ -303,10 +303,7 @@ func (m *Manager) settleFast(s *shard, h *lockHeader) {
 // the header sealed (or not yet published).
 func (m *Manager) recomputeWord(h *lockHeader, seq uint64) uint64 {
 	w := seq << wordSeqShift
-	if len(h.converters) != 0 || len(h.waiters) != 0 || len(h.culled) != 0 {
-		// Culled waiters fence the word like queued ones: every release on
-		// a throttled header must take the latched path and reach post,
-		// which is where culled waiters get reactivated (throttle.go).
+	if len(h.converters) != 0 || len(h.waiters) != 0 {
 		return w | wordFence
 	}
 	var nS, nIS, nIX uint64

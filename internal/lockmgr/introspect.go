@@ -143,7 +143,6 @@ func (m *Manager) CheckInvariants() error {
 func (m *Manager) checkInvariantsLocked() error {
 	appStructs := make(map[int]int)
 	inWait := make(map[*Owner]int)
-	liveCulled, reactInFlight := 0, 0
 	for i := range m.shards {
 		s := &m.shards[i]
 		// The latch-free observation mirrors must agree exactly with the
@@ -167,7 +166,9 @@ func (m *Manager) checkInvariantsLocked() error {
 		}
 		fastInUse := 0  // Σ granted fast-leased weights in this shard
 		publishedN := 0 // published headers resident in this shard's table
-		culledHere := 0 // culled requests on this shard's header stacks
+		// queued: every request on one of this shard's converter or
+		// waiter queues, each on exactly one.
+		queued := make(map[*request]bool)
 		hdrs := make([]*lockHeader, 0, s.table.Len())
 		s.table.Each(func(h *lockHeader) bool {
 			hdrs = append(hdrs, h)
@@ -263,49 +264,25 @@ func (m *Manager) checkInvariantsLocked() error {
 			if h.groupMode != want {
 				return fmt.Errorf("lockmgr: %v groupMode %v, want %v", name, h.groupMode, want)
 			}
-			// Every waiter is registered in its shard's waiting set, and —
-			// FIFO soundness — the head waiter is genuinely blocked.
+			// Every waiter is registered in its shard's waiting set, sits
+			// on exactly one queue of its own header, and — queue
+			// soundness — the head waiter is genuinely blocked.
 			for _, c := range h.converters {
-				if !c.inWaitList {
-					return fmt.Errorf("lockmgr: %v converter missing from waiting set", name)
+				if !c.inWaitList || c.header != h || queued[c] {
+					return fmt.Errorf("lockmgr: %v converter not queued once in the waiting set", name)
 				}
 				if !c.converting {
 					return fmt.Errorf("lockmgr: %v non-converting request on converter queue", name)
 				}
+				queued[c] = true
 			}
 			for _, w := range h.waiters {
-				if !w.inWaitList {
-					return fmt.Errorf("lockmgr: %v waiter missing from waiting set", name)
+				if !w.inWaitList || w.header != h || queued[w] || w.converting {
+					return fmt.Errorf("lockmgr: %v waiter not queued once in the waiting set", name)
 				}
+				queued[w] = true
 				appStructs[w.owner.app.id] += w.handle.Structs()
 			}
-			// Culled-set accounting (throttle.go): every culled request is
-			// flagged, registered in the waiting set (so sweeps find it),
-			// belongs to this header, holds no grant, no conversion, and
-			// no lock structures or fast lease — it was culled before
-			// allocation and reconciles to zero charged weight.
-			for _, c := range h.culled {
-				if !c.culled {
-					return fmt.Errorf("lockmgr: %v unflagged request on culled stack", name)
-				}
-				if !c.inWaitList {
-					return fmt.Errorf("lockmgr: %v culled request missing from waiting set", name)
-				}
-				if c.header != h {
-					return fmt.Errorf("lockmgr: %v culled request headed elsewhere", name)
-				}
-				if c.granted || c.converting {
-					return fmt.Errorf("lockmgr: %v culled request granted/converting", name)
-				}
-				if c.handle.Structs() != 0 || c.fastLeased {
-					return fmt.Errorf("lockmgr: %v culled request holds lock structures", name)
-				}
-				culledHere++
-			}
-			if h.reactInFlight < 0 {
-				return fmt.Errorf("lockmgr: %v negative reactivations in flight", name)
-			}
-			reactInFlight += h.reactInFlight
 			if len(h.converters) == 0 && len(h.waiters) > 0 {
 				if Compatible(h.waiters[0].mode, h.groupMode) {
 					return fmt.Errorf("lockmgr: %v head waiter %v compatible with group %v but not granted",
@@ -313,30 +290,22 @@ func (m *Manager) checkInvariantsLocked() error {
 				}
 			}
 		}
-		// Every member of the waiting set (queued waiters, converters, and
-		// parked requests) counts toward its owner's inWait gauge and must
-		// have its home shard's touched bit set — the bit is set before the
-		// request can reach any queue, and never cleared.
-		waitingCulled := 0
+		// Every member of the waiting set is parked or queued on its own
+		// header (the wait list has no other waiting state, so phase 1 of
+		// DetectDeadlocks only reads headers whose word is fenced). It
+		// counts toward its owner's inWait gauge and must have its home
+		// shard's touched bit set — the bit is set before the request can
+		// reach any queue, and never cleared.
 		for req := s.waitHead; req != nil; req = req.wnext {
 			inWait[req.owner]++
-			if req.culled {
-				waitingCulled++
-			}
-			if !req.everQueued {
-				return fmt.Errorf("lockmgr: shard %d waiting request on %v not marked everQueued", i, req.name)
+			if req.parked == queued[req] {
+				return fmt.Errorf("lockmgr: shard %d waiting request on %v parked=%v queued=%v",
+					i, req.name, req.parked, queued[req])
 			}
 			if !req.owner.isTouched(i) {
 				return fmt.Errorf("lockmgr: owner %d waits in shard %d without touched bit", req.owner.id, i)
 			}
 		}
-		// No lost culled waiters: every culled request in the waiting set
-		// sits on exactly one header's culled stack, and vice versa.
-		if waitingCulled != culledHere {
-			return fmt.Errorf("lockmgr: shard %d waiting set holds %d culled requests, header stacks hold %d",
-				i, waitingCulled, culledHere)
-		}
-		liveCulled += culledHere
 		// Fast-path slot array: every non-nil slot points at a published
 		// header of this shard's table, and the published population mirror
 		// is exact.
@@ -378,23 +347,8 @@ func (m *Manager) checkInvariantsLocked() error {
 		}
 	}
 
-	// Culled-set lifetime identity (throttle.go): every waiter the
-	// throttle ever culled resolved exactly one way — reactivated into the
-	// admission pipeline, denied in place, or still parked on a stack —
-	// and the latch-free live gauge mirrors the parked population exactly
-	// while the world is stopped. reactInFlight is informational here:
-	// popped waiters are already counted reactivated whether or not their
-	// continuation has run.
-	_ = reactInFlight
-	if culled, react, den := m.throtCulled.Total(), m.throtReact.Total(), m.throtDenied.Total(); culled != react+den+int64(liveCulled) {
-		return fmt.Errorf("lockmgr: culled waiters lost: culled %d != reactivated %d + denied %d + live %d",
-			culled, react, den, liveCulled)
-	}
 	if n := m.wakeLeaks.Load(); n != 0 {
 		return fmt.Errorf("lockmgr: %d owners pooled with a wake signal pending", n)
-	}
-	if got := m.throtLive.Load(); got != int64(liveCulled) {
-		return fmt.Errorf("lockmgr: culled live gauge %d, stacks hold %d", got, liveCulled)
 	}
 
 	// Owner indexes agree with the lock table. ownersMu is held across the

@@ -88,11 +88,11 @@
 // Owners and blocking-Acquire request boxes are recycled, so every
 // reference to one that outlives its latch is listed here:
 //
-//   - Continuations (retryCulled, freeEscalatedRows, retryParked,
-//     abandonParked) pin their owner through its refs teardown count. A
-//     continuation's request is in no held index, so no commit recycles
-//     its box meanwhile.
-//   - The deadlock detector's phase-1 snapshot (edges, waitingBy): under
+//   - Continuations (freeEscalatedRows, retryParked, abandonParked) pin
+//     their owner through its refs teardown count. A continuation's
+//     request is in no held index, so no commit recycles its box
+//     meanwhile.
+//   - The deadlock detector's phase-1 snapshot (waitGraph): under
 //     the home latch it proves by identity that a request still waits
 //     there, then checks owner and owner id (liveEdge, denyVictimReq).
 //   - The tail of Pending.complete, and of deferred grant wakeups: the
@@ -385,15 +385,15 @@ type Config struct {
 	// spent exactly as configured. A negative value pins the budget to 0
 	// (park immediately, the stock sync.Mutex-like behaviour).
 	LatchSpin int
-	// Throttle configures saturation-aware admission throttling
+	// Throttle configures the admission throttle's queue order
 	// (throttle.go). 0 (the default) enables the adaptive controller:
-	// per-shard concurrency ceilings engage only when RetuneThrottle —
-	// driven on the STMM cadence — observes a queue-depth high-water
-	// past the saturation knee, so quiet tables never pay anything. A
-	// positive value pins every shard's ceiling to that fixed waiter
-	// count from the start (the experimental control for A/B runs). A
-	// negative value disables throttling entirely: no ceiling ever
-	// engages and the admission path never consults the culled set.
+	// per-shard ceilings engage only when RetuneThrottle — driven on the
+	// STMM cadence — observes a queue-depth high-water past the
+	// saturation knee, so quiet tables never pay anything. A positive
+	// value pins every shard's ceiling to that fixed waiter count from
+	// the start (the experimental control for A/B runs). A negative value
+	// disables throttling entirely: no ceiling ever engages and every
+	// waiter queues in plain FIFO order.
 	Throttle int
 }
 
@@ -620,17 +620,11 @@ type request struct {
 	parked     bool // created but not yet started (escalation in progress)
 	inWaitList bool // linked into the home shard's waiting set (wprev/wnext)
 
-	// culled marks a waiter held back by the admission throttle
-	// (throttle.go): it is registered in the shard's waiting set (so
-	// timeout, cancel, and abort sweeps find it) and stacked on its
-	// header's culled LIFO, but holds no queue position, no lock
-	// structures, and exports no deadlock-graph edges until reactivated.
-	// culledPass stamps the SweepTimeouts pass at which it was culled;
-	// the sweep's liveness valve force-reactivates stragglers whose
-	// pass age says the active queue stopped draining (see
-	// sweepCulled).
-	culled     bool
-	culledPass uint64
+	// waitPass stamps the SweepTimeouts pass (numbered from 1) at which
+	// the request joined its header's waiter queue; the throttle's
+	// fairness valve promotes the oldest waiter past the ceiling and
+	// stamps it 0 (throttle.go).
+	waitPass uint64
 
 	pending  *Pending
 	deadline time.Time
@@ -661,11 +655,8 @@ type request struct {
 	// only for boxes born in the blocking Acquire path, whose Pending
 	// provably has no external references once the transaction commits
 	// (Acquire returned before the owner's goroutine could call
-	// ReleaseAll). everQueued is set the first time the request waits and
-	// cleared when the box is reset; it only exempts the request from being
-	// culled again (throttle.go). Flags precede box: the box stays 288 B.
+	// ReleaseAll).
 	recyclable bool
-	everQueued bool
 	box        *requestAndPending
 }
 
@@ -699,19 +690,7 @@ type lockHeader struct {
 	gmap       map[*Owner]*request // overflow holders; nil until needed
 	groupMode  Mode
 	converters []*request // FIFO, priority over waiters
-	waiters    []*request // FIFO
-
-	// culled is the admission throttle's passive waiter stack (LIFO —
-	// the most recently culled request reactivates first, Dice & Kogan's
-	// cache-warm ordering). Culled requests hold no lock structures and
-	// no FIFO queue position; they re-enter the admission pipeline via
-	// reactivation continuations as the active queue drains (see
-	// throttle.go). reactInFlight counts reactivations popped from the
-	// stack whose continuations have not yet re-run admission, so one
-	// drain cannot over-reactivate past the ceiling. Guarded by the
-	// shard latch.
-	culled        []*request
-	reactInFlight int
+	waiters    []*request // FIFO up to the throttle ceiling, newest-first past it
 
 	// word is the packed latch-free grant word (see fastpath.go); it is
 	// meaningful only once published is set (latch-guarded) and the
@@ -826,7 +805,7 @@ func removeReq(q []*request, r *request) []*request {
 
 func (h *lockHeader) empty() bool {
 	return h.g0 == nil && len(h.gmap) == 0 && len(h.converters) == 0 &&
-		len(h.waiters) == 0 && len(h.culled) == 0
+		len(h.waiters) == 0
 }
 
 // Stats is a snapshot of the manager's event counters.
@@ -875,8 +854,8 @@ type shard struct {
 	idx   int                         // position in Manager.shards; set once at New
 	table flathash.Table[*lockHeader] // by hashName(name)
 
-	// The waiting set: every queued waiter, converter, parked and culled
-	// request homed here, oldest first; nWaiting is its length.
+	// The waiting set: every queued waiter, converter and parked request
+	// homed here, oldest first; nWaiting is its length.
 	waitHead, waitTail *request
 
 	// Latch-profile sampling state, guarded by mu: latchTick advances on
@@ -925,17 +904,17 @@ type shard struct {
 	nWaiting atomic.Int64
 
 	// Admission-throttle state (throttle.go). throtCeil is the shard's
-	// live concurrency ceiling: 0 means disengaged (the admission path
-	// pays exactly one relaxed atomic load and moves on — the quiet-lock
-	// hysteresis ISSUE demands), > 0 caps any one header's active wait
-	// queue at that many waiters, excess being culled. throtDepthHW is
-	// the queue-depth high-water mark since the last retune window
-	// (updated by enqueueWaiter with a CAS-max, swapped to 0 by
-	// RetuneThrottle). The remaining fields are the controller's
-	// between-window scratch, touched only by RetuneThrottle's single
-	// caller (the STMM cadence): grants seen at the last window edge,
-	// the previous window's throughput delta, and how many consecutive
-	// quiet windows have passed (disengage hysteresis).
+	// live concurrency ceiling: 0 means disengaged (enqueueWaiter pays
+	// exactly one relaxed atomic load and appends), > 0 keeps any one
+	// header's first that-many waiters in arrival order and queues the
+	// rest newest-first behind them. throtDepthHW is the queue-depth
+	// high-water mark since the last retune window (updated by
+	// enqueueWaiter with a CAS-max, swapped to 0 by RetuneThrottle). The
+	// remaining fields are the controller's between-window state,
+	// touched only by RetuneThrottle's single caller (the STMM cadence):
+	// grants seen at the last window edge, the previous window's
+	// throughput delta, and how many consecutive quiet windows have
+	// passed (disengage hysteresis).
 	throtCeil    atomic.Int32
 	throtDepthHW atomic.Int32
 	throtGrants  int64
@@ -1047,8 +1026,8 @@ type Manager struct {
 	nextOwner uint64
 	numApps   atomic.Int64
 
-	// Deferred continuations (escalation steps, culled-waiter
-	// reactivations). Each latches the shards it touches itself, so the
+	// Deferred continuations (escalation steps and parked-request
+	// retries). Each latches the shards it touches itself, so the
 	// queue is enqueued anywhere and drained by flushConts with no latches
 	// held. conts[contHead:] are queued; an emptied queue rewinds to [:0].
 	contMu   sync.Mutex
@@ -1120,19 +1099,11 @@ type Manager struct {
 	wakesCoalesced *metrics.ShardCounters
 
 	// Admission-throttle evidence (throttle.go). throtCulled counts
-	// waiters diverted into the passive culled set; throtReact counts
-	// culled waiters fed back into the admission pipeline as the active
-	// queue drained; throtDenied counts culled waiters denied in place
-	// (timeout, cancel, abort, shutdown). Every culled waiter resolves
-	// exactly one way, so culled == reactivated + denied + live-culled is
-	// an invariant CheckInvariants enforces. throtDL receives one
-	// decision record per ceiling adjustment (kind "throttle-tune");
-	// sweepPass numbers SweepTimeouts passes for the culled-set liveness
-	// valve.
+	// waiters queued behind the ceiling (inserted newest-first). throtDL
+	// receives one decision record per ceiling adjustment (kind
+	// "throttle-tune"); sweepPass numbers SweepTimeouts passes for the
+	// fairness valve.
 	throtCulled *metrics.ShardCounters
-	throtReact  *metrics.ShardCounters
-	throtDenied *metrics.ShardCounters
-	throtLive   atomic.Int64 // culled waiters currently parked
 	throtDL     atomic.Pointer[obs.DecisionLog]
 	sweepPass   atomic.Uint64
 
@@ -1218,8 +1189,6 @@ func New(cfg Config) *Manager {
 		relBatches:     metrics.NewShardCounters("release batches applied", ns),
 		wakesCoalesced: metrics.NewShardCounters("wakeups coalesced", ns),
 		throtCulled:    metrics.NewShardCounters("throttle culled waiters", ns),
-		throtReact:     metrics.NewShardCounters("throttle reactivated waiters", ns),
-		throtDenied:    metrics.NewShardCounters("throttle culled denials", ns),
 	}
 	stripes := ns
 	if stripes > 64 {
@@ -1258,6 +1227,7 @@ func New(cfg Config) *Manager {
 			s.throtCeil.Store(int32(min(cfg.Throttle, throttleCeilMax)))
 		}
 	}
+	m.sweepPass.Store(1) // waitPass 0 is the valve's promoted mark
 	m.initProfiler(cfg, ns, stride)
 	return m
 }
@@ -1718,19 +1688,6 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 		return true
 	}
 
-	// Saturation throttle (throttle.go): when the shard's concurrency
-	// ceiling is engaged and this name's active wait queue has reached it,
-	// divert the new waiter into the header's culled set instead of the
-	// admission pipeline — it takes no quota, no structures, and no queue
-	// position until the active queue drains. Checked before allocation so
-	// a culled waiter is free to hold back; never applied to conversions
-	// (they hold a grant the queue may be waiting behind). One atomic load
-	// when the ceiling is disengaged.
-	if !isHeld && s.throtCeil.Load() > 0 && m.maybeCull(s, si, req) {
-		o.mu.Unlock()
-		return true
-	}
-
 	if global {
 		// The full admission pipeline may escalate, which re-enters this
 		// owner's state (releaseGranted takes o.mu); drop o.mu first.
@@ -1790,11 +1747,22 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 }
 
 // enqueueWaiter queues req on h's waiter list and registers it in the
-// shard's waiting set. Caller holds the shard latch (and every other
-// latch in global mode) but not o.mu.
+// shard's waiting set. Past an engaged throttle ceiling c the waiter is
+// inserted at index c rather than appended, so the queue serves its first
+// c waiters in arrival order and the rest newest-first (throttle.go).
+// Caller holds the shard latch (and every other latch in global mode) but
+// not o.mu.
 func (m *Manager) enqueueWaiter(s *shard, si int, h *lockHeader, req *request) {
 	m.beginWait(req)
-	h.waiters = append(h.waiters, req)
+	req.waitPass = m.sweepPass.Load()
+	if c := int(s.throtCeil.Load()); c > 0 && len(h.waiters) >= c {
+		h.waiters = append(h.waiters, nil)
+		copy(h.waiters[c+1:], h.waiters[c:])
+		h.waiters[c] = req
+		m.throtCulled.Shard(si).Inc()
+	} else {
+		h.waiters = append(h.waiters, req)
+	}
 	req.header = h
 	s.addWaiting(req)
 	// Contention-profiler hooks: charge the enqueue and record the queue
@@ -2185,18 +2153,6 @@ func (m *Manager) deny(req *request, err error) {
 		// The dead converter may have been the head of the priority
 		// queue, blocking requests that are now grantable.
 		m.post(s, h, nil)
-	} else if req.culled {
-		// Culled waiter (throttle.go): it holds no queue position and no
-		// structures — unlink it from its header's culled stack and count
-		// the denial, so the culled == reactivated + denied + live
-		// identity CheckInvariants enforces stays exact. Removing it
-		// unblocks nothing, but the header may now be empty.
-		h.culled = removeReq(h.culled, req)
-		req.culled = false
-		m.throtDenied.Shard(s.idx).Inc()
-		m.throtLive.Add(-1)
-		m.freeRequestStructs(s, req) // defensive: culled requests hold none
-		s.cacheOrEvict(h)
 	} else if h != nil {
 		h.waiters = removeReq(h.waiters, req)
 		m.freeRequestStructs(s, req)
@@ -2263,16 +2219,12 @@ func (s *shard) cacheOrEvict(h *lockHeader) {
 // was removed. Caller holds the shard latch and must sync the mirror
 // before releasing it.
 func (s *shard) cacheOrEvictDeferred(h *lockHeader) bool {
-	if h == nil || h.published || !h.empty() || h.reactInFlight > 0 {
+	if h == nil || h.published || !h.empty() {
 		// Published headers are never evicted or recycled: a fast op may
 		// hold a slot-loaded pointer to one at any time, and keeping the
 		// empty header resident (with an admitting all-zero grant word) is
 		// exactly what keeps a hot key's grants latch-free across
 		// transactions. Reclamation is deferred to Resize/slot pressure.
-		// A header with reactivations in flight is likewise pinned: the
-		// continuation decrements reactInFlight through req.header under
-		// this latch (throttle.go), so the header must stay resident until
-		// every popped culled waiter has re-entered admission.
 		return false
 	}
 	s.table.Delete(hashName(h.name), h)
@@ -2281,7 +2233,6 @@ func (s *shard) cacheOrEvictDeferred(h *lockHeader) bool {
 	h.groupMode = ModeNone
 	h.converters = nil
 	h.waiters = nil
-	h.culled = nil
 	if len(s.hfree) < headerFreelistCap {
 		s.hfree = append(s.hfree, h)
 	}
@@ -2297,28 +2248,14 @@ func (s *shard) syncTableMirror() {
 	s.seq.Add(1)
 }
 
-// post wakes queued requests on h after a release or conversion, in strict
-// FIFO order: converters first, then waiters, stopping at the first
+// post wakes queued requests on h after a release or conversion, in queue
+// order: converters first, then waiters, stopping at the first
 // incompatible request. s is h's shard; the caller holds its latch. A
 // non-nil drain defers each grant's Pending completion to the post-walk
 // wake pass (grantDeferred); the grant itself — queue removal, install,
-// accounting — is still applied here, so FIFO order is decided under the
+// accounting — is still applied here, so grant order is decided under the
 // latch and the deferred completions merely deliver it.
 func (m *Manager) post(s *shard, h *lockHeader, d *releaseDrain) {
-	m.postQueues(s, h, d)
-	// Refill the active queue from the culled set once the grant pass has
-	// drained what it can: every posting site — a release visit's posting
-	// pass (finishShardVisit) and denials — feeds culled waiters back as
-	// headroom opens, so reactivation piggybacks on the latches those paths
-	// already hold.
-	if len(h.culled) != 0 {
-		m.reactivateCulled(s, h)
-	}
-}
-
-// postQueues is post's FIFO grant pass over the converter and waiter
-// queues, stopping at the first incompatible request.
-func (m *Manager) postQueues(s *shard, h *lockHeader, d *releaseDrain) {
 	if len(h.converters) == 0 && len(h.waiters) == 0 {
 		return
 	}
@@ -2847,7 +2784,7 @@ func (m *Manager) releaseShardPhase1(s *shard, si int, o *Owner, b *releaseBatch
 			continue
 		}
 		h.recomputeGroupMode()
-		if h.published && len(h.converters) == 0 && len(h.waiters) == 0 && len(h.culled) == 0 {
+		if h.published && len(h.converters) == 0 && len(h.waiters) == 0 {
 			m.settleFast(s, h)
 		} else {
 			// One batch per visit and one request per name per owner, so
@@ -2994,12 +2931,11 @@ func (m *Manager) beginWait(req *request) {
 	m.stats.waits.Add(1)
 }
 
-// markWaiting is what every wait shares, queued or parked: everQueued,
-// the armed Pending, and one inWait count even across re-waits (waitStart
+// markWaiting is what every wait shares, queued or parked: the armed
+// Pending, and one inWait count even across re-waits (waitStart
 // dedupes). A first wait runs inside the requester's own admission, so
 // Acquire reads armed without a race. Caller holds the home shard latch.
 func (m *Manager) markWaiting(req *request, now time.Time) {
-	req.everQueued = true
 	if p := req.pending; p != nil && p.wake != nil && !p.armed {
 		p.armed = true
 	}
@@ -3034,18 +2970,10 @@ func (m *Manager) endWait(req *request) {
 // real-time deployment calls it from a ticker goroutine. Each shard is
 // swept independently.
 func (m *Manager) SweepTimeouts() int {
-	// The sweep doubles as the culled set's liveness valve (throttle.go):
-	// even with timeouts disabled, a pass must number itself and visit
-	// shards whose culled waiters have stopped draining, so a culled
-	// waiter whose progress depends on the deadlock detector regains its
-	// wait-graph edges within a bounded number of passes.
+	// The sweep doubles as the throttle's fairness valve (throttle.go),
+	// so every pass numbers itself, timeouts or not.
 	pass := m.sweepPass.Add(1)
 	timeouts := m.cfg.LockTimeout > 0
-	if !timeouts && m.throtLive.Load() == 0 {
-		// Timeouts disabled and no culled waiters parked anywhere: the
-		// sweep has nothing to do and takes no latches.
-		return 0
-	}
 	now := m.clk.Now()
 	denied := 0
 	for i := range m.shards {
@@ -3054,20 +2982,22 @@ func (m *Manager) SweepTimeouts() int {
 		// waiters at some instant between the previous sweep and this one
 		// — exactly the fuzziness a periodic sweep already tolerates. The
 		// latch is never taken; an idle lock table sweeps with zero latch
-		// acquisitions. Culled waiters live in the same set, so a shard
-		// with any culled work is never skipped.
-		if m.shards[i].nWaiting.Load() == 0 {
+		// acquisitions. With timeouts off, a shard whose ceiling is
+		// disengaged has no valve work either.
+		c := int(m.shards[i].throtCeil.Load())
+		if m.shards[i].nWaiting.Load() == 0 || (!timeouts && c == 0) {
 			continue
 		}
 		s := m.lockShard(i)
 		var victims []*request
-		var stale []*lockHeader
 		for req := s.waitHead; req != nil; req = req.wnext {
 			if timeouts && !req.deadline.IsZero() && now.After(req.deadline) {
 				victims = append(victims, req)
 			}
-			if req.culled && pass-req.culledPass >= 2 && req.header != nil {
-				stale = appendHeaderOnce(stale, req.header)
+			// Each queue has one head, and the valve only moves waiters
+			// past index c ≥ 1, so the head visits its header once a pass.
+			if c > 0 && !req.parked && !req.converting && req.header.waiters[0] == req {
+				promoteStale(req.header, c, pass)
 			}
 		}
 		for _, req := range victims {
@@ -3085,7 +3015,6 @@ func (m *Manager) SweepTimeouts() int {
 			m.deny(req, ErrTimeout)
 			denied++
 		}
-		m.sweepCulled(s, stale)
 		m.unlockShard(s)
 	}
 	m.flushConts()

@@ -85,7 +85,6 @@ type flightKind uint8
 const (
 	flightWait        flightKind = iota // queued; val = queue depth
 	flightConvert                       // queued conversion; mode = target, val = depth
-	flightCulled                        // culled by the throttle; val = depth incl. culled
 	flightGrant                         // granted after a wait; val = waited ns
 	flightRelease                       // sampled latched release; val = held ns
 	flightFastRelease                   // sampled fast-path release; val = held ns
@@ -95,7 +94,6 @@ const (
 var flightTraceKind = [...]trace.Kind{
 	flightWait:        trace.KindWait,
 	flightConvert:     trace.KindWait,
-	flightCulled:      trace.KindWait,
 	flightGrant:       trace.KindGrant,
 	flightRelease:     trace.KindRelease,
 	flightFastRelease: trace.KindRelease,
@@ -121,8 +119,6 @@ func (r *flightRec) detail() string {
 		return fmt.Sprintf("%s mode=%s owner=%d depth=%d", r.name, r.mode, r.owner, r.val)
 	case flightConvert:
 		return fmt.Sprintf("%s convert=%s owner=%d depth=%d", r.name, r.mode, r.owner, r.val)
-	case flightCulled:
-		return fmt.Sprintf("%s mode=%s owner=%d culled depth=%d", r.name, r.mode, r.owner, r.val)
 	case flightGrant:
 		return fmt.Sprintf("%s mode=%s owner=%d waited=%s", r.name, r.mode, r.owner, time.Duration(r.val))
 	case flightRelease:
@@ -289,8 +285,8 @@ func (m *Manager) DumpWaiters() obs.BlameReport {
 		}
 		s := m.lockShard(i)
 		for req := s.waitHead; req != nil; req = req.wnext {
-			if req.parked || req.culled {
-				continue // parked/culled requests hold no queue position
+			if req.parked {
+				continue // parked requests hold no queue position
 			}
 			for _, to := range m.waitEdges(req) {
 				edges = append(edges, obs.BlameEdge{

@@ -242,8 +242,6 @@ func TestFlightDetailFormats(t *testing.T) {
 			trace.KindWait, "row(3.7) mode=S owner=7 depth=3"},
 		{flightRec{kind: flightConvert, name: row, mode: ModeX, owner: 7, val: 2},
 			trace.KindWait, "row(3.7) convert=X owner=7 depth=2"},
-		{flightRec{kind: flightCulled, name: row, mode: ModeU, owner: 9, val: 17},
-			trace.KindWait, "row(3.7) mode=U owner=9 culled depth=17"},
 		{flightRec{kind: flightGrant, name: row, mode: ModeX, owner: 7, val: int64(2500 * time.Microsecond)},
 			trace.KindGrant, "row(3.7) mode=X owner=7 waited=2.5ms"},
 		{flightRec{kind: flightRelease, name: tbl, mode: ModeIX, owner: 11, val: 1234},

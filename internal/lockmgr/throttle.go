@@ -1,44 +1,32 @@
 package lockmgr
 
 // throttle.go is the saturation-aware admission throttle: a per-shard
-// concurrency limiter that keeps a hot lock's active wait queue at an
-// adaptive ceiling and parks the excess in a passive per-header culled set,
-// after Dice & Kogan ("Avoiding Scalability Collapse by Restricting
-// Concurrency"): past a contended lock's saturation knee, every additional
-// active waiter *reduces* throughput — it lengthens the FIFO grant walk,
-// fattens the deadlock detector's wait-graph export, and multiplies wakeup
-// traffic — so the highest-throughput policy is to admit only as many
-// waiters as the queue can drain and feed the rest back as it does.
+// ceiling c on how many of a hot lock's waiters are served in arrival
+// order. Once a header already has c waiters, enqueueWaiter inserts each
+// new one at index c instead of appending it, so the first c waiters are
+// served FIFO and the rest newest-first. Every waiter is an ordinary
+// queued request — structures, queue position, wait-graph edges — so the
+// wait list has one waiting state. The newest-first overflow is Dice &
+// Kogan's passive-set order ("Avoiding Scalability Collapse by
+// Restricting Concurrency"): the most recently arrived goroutine is the
+// warmest, and serving it next lowers hot-row median latency
+// (EXPERIMENTS.md, "Throttle by queue order").
 //
-// Mechanics. A culled request is registered in its shard's waiting set
-// (so SweepTimeouts, cancel, and the abort path find it — it still honors
-// LockTimeout and owner abort) and stacked on its header's culled LIFO,
-// but holds no lock structures, no quota, no FIFO queue position, and
-// exports no deadlock-graph edges. Reactivation piggybacks on the posting
-// pass (post): releases and denials refill the active queue from the
-// culled stack as headroom opens, re-running the full admission pipeline
-// via a self-latching continuation (retryCulled, the retryParked shape).
-// LIFO order is deliberate — the most recently culled waiter's goroutine
-// and cache state are the warmest (Dice & Kogan's "passive set" policy).
-//
-// Liveness. Culled waiters are throughput-invisible but NOT
-// liveness-invisible: a culled owner may hold locks the active queue
-// needs, and with no wait-graph edges the deadlock detector cannot see
-// the cycle. SweepTimeouts doubles as the valve — each pass
-// force-reactivates the oldest culled waiter of any header whose culled
-// set has stopped draining (pass age ≥ 2), so every culled waiter regains
-// detector visibility within a bounded number of sweep passes and real
-// cycles are broken at most two passes late (see docs/ALGORITHM.md,
-// "Saturation-aware throttling").
+// Fairness. Newest-first alone could starve an early overflow waiter
+// under a steady stream of arrivals. SweepTimeouts doubles as the valve
+// (Dice & Kogan's long-term fairness): each pass moves each header's
+// oldest waiter past index c, once it has sat through
+// throttleStalePasses passes, up to index c — the front of the overflow
+// (promoteStale).
 //
 // Control. The per-shard ceiling is retuned by RetuneThrottle on the same
 // STMM cadence that tunes lock memory, from signals the manager already
 // exports: the queue-depth high-water mark since the last window, the
 // lock-wait p99, and the grant-throughput delta between windows. A
-// disengaged shard (ceiling 0) pays exactly one atomic load per admission
-// — quiet tables never pay anything — and the controller disengages again
-// after two quiet windows (hysteresis). Every adjustment lands in the
-// decision log as kind "throttle-tune", replayable via /debug/tuner.
+// disengaged shard (ceiling 0) pays exactly one atomic load per wait, and
+// the controller disengages again after two quiet windows (hysteresis).
+// Every adjustment lands in the decision log as kind "throttle-tune",
+// replayable via /debug/tuner.
 
 import (
 	"fmt"
@@ -48,10 +36,9 @@ import (
 
 const (
 	// throttleCeilMin / throttleCeilMax clamp every ceiling the
-	// controller (or a fixed Config.Throttle) can set: below 2 the active
-	// queue cannot pipeline a grant with the next waiter's wakeup; above
-	// 64 the FIFO walk and detector export costs the limiter exists to
-	// bound are already back.
+	// controller can set (a fixed Config.Throttle is clamped to the max
+	// only): below 2 the FIFO head cannot pipeline a grant with the next
+	// waiter's wakeup; 64 bounds how far the hill-climb can step up.
 	throttleCeilMin = 2
 	throttleCeilMax = 64
 	// throttleEngageHW is the queue-depth high-water mark at which a
@@ -66,166 +53,36 @@ const (
 	// zero high-water mark disengage the ceiling (hysteresis: one idle
 	// window is not proof the storm has passed).
 	throttleQuietWindows = 2
-	// throttleStalePasses is the culled-set liveness valve's age bound:
-	// a header whose oldest culled waiter has sat through this many
-	// SweepTimeouts passes without draining gets one waiter
-	// force-reactivated per pass.
+	// throttleStalePasses is the fairness valve's age bound: a waiter
+	// past the ceiling that has sat through this many SweepTimeouts
+	// passes is eligible for promotion to the front of the overflow.
 	throttleStalePasses = 2
 )
 
-// maybeCull decides whether req — a new, non-conversion request — should
-// be diverted into its header's culled set instead of the admission
-// pipeline, and performs the cull if so. Caller holds the shard latch and
-// req.owner.mu, and has already checked that the shard's ceiling is
-// engaged. Returns whether the request was culled (its Pending stays
-// StatusWaiting; grant or denial arrives via reactivation, timeout,
-// cancel, or abort).
-func (m *Manager) maybeCull(s *shard, si int, req *request) bool {
-	if req.everQueued {
-		// A request that has already waited — reactivated from the culled
-		// set, or retried after an escalation park — is never culled
-		// (again). Re-culling a reactivated waiter would bounce it between
-		// the stack and the admission pipeline whenever the queue refilled
-		// first, and would defeat the liveness valve outright: a
-		// force-reactivated waiter must actually reach the active queue to
-		// regain its deadlock-graph edges.
-		return false
-	}
-	h := s.header(req.hash, req.name)
-	if h == nil {
-		// No header means no contention on this name: a quiet lock is
-		// never culled (it will be granted, not queued).
-		return false
-	}
-	ceil := int(s.throtCeil.Load())
-	if ceil <= 0 || len(h.waiters)+h.reactInFlight < ceil {
-		return false
-	}
-	m.beginWait(req)
-	req.culled = true
-	req.culledPass = m.sweepPass.Load()
-	req.header = h
-	h.culled = append(h.culled, req)
-	s.addWaiting(req)
-	m.throtCulled.Shard(si).Inc()
-	m.throtLive.Add(1)
-	// The backlog still counts toward the lock's blamed queue depth and
-	// the controller's high-water signal: a culled waiter is deferred
-	// demand, not absent demand.
-	depth := len(h.converters) + len(h.waiters) + len(h.culled)
-	throtDepthMax(s, int32(depth))
-	m.hot.Observe(si, h.name, hotEventBlameNs, obs.HotQueueMax, int64(depth))
-	if m.flight != nil {
-		m.flightRecord(si, m.clk.Now(), flightRec{kind: flightCulled, app: req.owner.app.id,
-			name: h.name, mode: req.mode, owner: req.owner.id, val: int64(depth)})
-	}
-	// Fence the grant word while culled waiters exist (recomputeWord
-	// treats them like queued ones), so every release takes the latched
-	// path and reaches post — the reactivation trigger. Usually a no-op:
-	// culling requires a full active queue, which already fences.
-	m.sealFast(h)
-	m.settleFast(s, h)
-	return true
-}
-
-// reactivateCulled refills h's active queue from its culled stack, newest
-// first, up to the shard's ceiling headroom — or entirely, if the ceiling
-// has since disengaged. Each popped waiter re-enters the admission
-// pipeline via a self-latching continuation; reactInFlight reserves its
-// queue slot until that continuation runs, so one posting pass cannot
-// over-admit past the ceiling. Caller holds the shard latch; callers
-// flush continuations after dropping it (every posting site already
-// does).
-func (m *Manager) reactivateCulled(s *shard, h *lockHeader) {
-	free := len(h.culled)
-	if ceil := int(s.throtCeil.Load()); ceil > 0 {
-		free = ceil - (len(h.waiters) + len(h.converters) + h.reactInFlight)
-	}
-	for free > 0 && len(h.culled) > 0 {
-		m.popCulled(s, h, len(h.culled)-1)
-		free--
-	}
-}
-
-// popCulled removes h.culled[i], counts the reactivation, and enqueues the
-// continuation that re-runs admission for it. Caller holds the shard
-// latch.
-func (m *Manager) popCulled(s *shard, h *lockHeader, i int) {
-	req := h.culled[i]
-	h.culled = removeAt(h.culled, i)
-	req.culled = false
-	h.reactInFlight++
-	m.throtReact.Shard(s.idx).Inc()
-	m.throtLive.Add(-1)
-	m.enqueueCont(cont{fn: (*Manager).retryCulled, req: req, pin: req.owner.pin()})
-}
-
-// retryCulled re-runs the admission pipeline for a reactivated culled
-// waiter, unless it was denied (timeout, cancel, abort) in the window
-// between the pop and this continuation. It runs with no latches held and
-// mirrors retryParked: latch the home shard, release the reserved queue
-// slot, re-check the pending, then fast-path admission with a global
-// fallback. The header stays resident across the window — eviction is
-// pinned by reactInFlight (cacheOrEvictDeferred) — so the decrement
-// through req.header is safe.
-func (m *Manager) retryCulled(req *request, _ error) {
-	si := m.shardOf(req.name)
-	s := m.lockShard(si)
-	h := req.header
-	if h != nil && h.reactInFlight > 0 {
-		h.reactInFlight--
-	}
-	s.delWaiting(req)
-	if req.pending == nil {
-		s.cacheOrEvict(h)
-		m.unlockShard(s)
-		return // already denied while culled
-	}
-	if st, _ := req.pending.Status(); st != StatusWaiting {
-		s.cacheOrEvict(h)
-		m.unlockShard(s)
+// promoteStale is the fairness valve (see the file comment): it moves h's
+// oldest waiter past index c — smallest waitPass, the furthest back among
+// ties — to index c, once it is throttleStalePasses passes old and the
+// waiter at c is no older. The promoted waiter is stamped 0, so it wins
+// index c back on every pass until a grant moves it into the FIFO part.
+// Caller holds the shard latch. Reordering behind the blocked head grants
+// nothing, so the word stays fenced.
+func promoteStale(h *lockHeader, c int, pass uint64) {
+	if len(h.waiters) <= c+1 {
 		return
 	}
-	ok := m.startRequest(s, si, req, false)
-	m.unlockShard(s)
-	if !ok {
-		// Same admission-of-last-resort rationale as retryParked: the
-		// retry may need quota growth or an escalation, which require
-		// every latch.
-		m.runGlobal(func() {
-			if !m.startRequest(s, si, req, true) {
-				panic("lockmgr: global culled retry deferred admission")
-			}
-		})
-	}
-}
-
-// sweepCulled is the liveness valve (see the file comment): for each
-// header whose oldest culled waiter has aged past throttleStalePasses, it
-// force-reactivates that oldest waiter — the culled LIFO's bottom entry,
-// which was culled no later than any other — bypassing the ceiling.
-// Progress restores the waiter's deadlock-graph edges, so a cycle through
-// a culled owner becomes detectable within a bounded number of passes.
-// Caller holds the shard latch; SweepTimeouts flushes the continuations.
-func (m *Manager) sweepCulled(s *shard, stale []*lockHeader) {
-	for _, h := range stale {
-		if len(h.culled) == 0 {
-			continue
-		}
-		m.popCulled(s, h, 0)
-	}
-}
-
-// appendHeaderOnce appends h to list unless already present (the stale
-// lists the sweep builds are a handful of headers, so linear dedup beats
-// a map allocation).
-func appendHeaderOnce(list []*lockHeader, h *lockHeader) []*lockHeader {
-	for _, x := range list {
-		if x == h {
-			return list
+	old := c + 1
+	for j := c + 2; j < len(h.waiters); j++ {
+		if h.waiters[j].waitPass <= h.waiters[old].waitPass {
+			old = j
 		}
 	}
-	return append(list, h)
+	w := h.waiters[old]
+	if h.waiters[c].waitPass < w.waitPass || pass-w.waitPass < throttleStalePasses {
+		return
+	}
+	copy(h.waiters[c+1:old+1], h.waiters[c:old])
+	h.waiters[c] = w
+	w.waitPass = 0
 }
 
 // throtDepthMax raises s.throtDepthHW to depth (CAS max — enqueues race).
@@ -368,28 +225,11 @@ func (m *Manager) SetThrottleDecisionLog(dl *obs.DecisionLog) {
 }
 
 // ThrottleCulled returns how many waiters the admission throttle has
-// diverted into the passive culled set, ever. Lock-free.
+// queued behind a ceiling (inserted newest-first), ever. Lock-free.
 func (m *Manager) ThrottleCulled() int64 { return m.throtCulled.Total() }
-
-// ThrottleReactivated returns how many culled waiters have been fed back
-// into the admission pipeline. Lock-free.
-func (m *Manager) ThrottleReactivated() int64 { return m.throtReact.Total() }
-
-// ThrottleDenied returns how many culled waiters were denied in place
-// (timeout, cancel, abort). Every culled waiter resolves exactly once:
-// ThrottleCulled == ThrottleReactivated + ThrottleDenied + ThrottleLive.
-// Lock-free.
-func (m *Manager) ThrottleDenied() int64 { return m.throtDenied.Total() }
-
-// ThrottleLive returns how many culled waiters are parked right now.
-// Lock-free.
-func (m *Manager) ThrottleLive() int64 { return m.throtLive.Load() }
 
 // ThrottleCulledValues returns the per-shard culled counts.
 func (m *Manager) ThrottleCulledValues() []int64 { return m.throtCulled.Values() }
-
-// ThrottleReactivatedValues returns the per-shard reactivation counts.
-func (m *Manager) ThrottleReactivatedValues() []int64 { return m.throtReact.Values() }
 
 // ThrottleCeilings returns each shard's live concurrency ceiling (0 =
 // disengaged). Lock-free.

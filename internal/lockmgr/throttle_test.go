@@ -1,13 +1,15 @@
 package lockmgr
 
-// Tests for the saturation-aware admission throttle (throttle.go): fixed
-// ceilings cull and reactivate, culled waiters keep their liveness
-// semantics (timeout, abort, deadlock via the sweep valve), and the
-// adaptive controller engages, steps, and disengages with every move in
-// the decision log.
+// Tests for the saturation-aware admission throttle (throttle.go): a fixed
+// ceiling serves the first waiters in arrival order and the rest
+// newest-first, every waiter stays an ordinary queued request (timeout,
+// abort and deadlock detection see it at once), the sweep valve promotes
+// stale waiters, and the adaptive controller engages, steps, and
+// disengages with every move in the decision log.
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -16,24 +18,59 @@ import (
 	"repro/internal/obs"
 )
 
-// throttleIdentity asserts the lifetime accounting identity
-// culled == reactivated + denied + live and runs CheckInvariants.
-func throttleIdentity(t *testing.T, m *Manager) {
+// mustInvariants runs CheckInvariants.
+func mustInvariants(t *testing.T, m *Manager) {
 	t.Helper()
-	c, r, d, l := m.ThrottleCulled(), m.ThrottleReactivated(), m.ThrottleDenied(), m.ThrottleLive()
-	if c != r+d+l {
-		t.Fatalf("throttle identity broken: culled=%d reactivated=%d denied=%d live=%d", c, r, d, l)
-	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
 }
 
-// TestThrottleFixedCeilingCullAndDrain pins the tentpole mechanics with a
-// fixed ceiling: waiters beyond the ceiling divert into the culled set,
-// stay StatusWaiting, and are fed back by releases until the backlog
-// drains — every culled waiter eventually granted, none lost.
-func TestThrottleFixedCeilingCullAndDrain(t *testing.T) {
+// queueOf returns the owners on name's waiter queue, in queue order, read
+// under its shard latch.
+func queueOf(m *Manager, name Name) []*Owner {
+	s := m.lockShard(m.shardOf(name))
+	defer m.unlockShard(s)
+	h := s.header(hashName(name), name)
+	if h == nil {
+		return nil
+	}
+	out := make([]*Owner, len(h.waiters))
+	for i, w := range h.waiters {
+		out[i] = w.owner
+	}
+	return out
+}
+
+// waitingNow sums the shards' waiting-set mirrors.
+func waitingNow(m *Manager) int64 {
+	var n int64
+	for i := range m.shards {
+		n += m.shards[i].nWaiting.Load()
+	}
+	return n
+}
+
+// drainInOrder releases holder, then each granted waiter in turn, and
+// checks that the waiters want names (w1 = 0) are granted one at a time,
+// in want's order.
+func drainInOrder(t *testing.T, m *Manager, holder *Owner, owners []*Owner, pends []*Pending, want []int) {
+	t.Helper()
+	m.ReleaseAll(holder)
+	for k, i := range want {
+		mustGrant(t, pends[i], fmt.Sprintf("w%d, grant %d", i+1, k+1))
+		for _, j := range want[k+1:] {
+			mustWait(t, pends[j], fmt.Sprintf("w%d while w%d holds", j+1, i+1))
+		}
+		m.ReleaseAll(owners[i])
+	}
+}
+
+// TestThrottleQueueOrder pins the queue order with a fixed ceiling of 2:
+// six X waiters behind one X holder are granted w1, w2 (arrival order up
+// to the ceiling), then w6, w5, w4, w3 (newest-first past it), and the
+// four inserted waiters are counted.
+func TestThrottleQueueOrder(t *testing.T) {
 	m := newMgr(Config{Throttle: 2, Shards: 1})
 	row := RowName(1, 1)
 	holder := m.NewOwner(m.RegisterApp())
@@ -44,64 +81,22 @@ func TestThrottleFixedCeilingCullAndDrain(t *testing.T) {
 	pends := make([]*Pending, n)
 	for i := range owners {
 		owners[i] = m.NewOwner(m.RegisterApp())
-		pends[i] = m.AcquireAsync(owners[i], row, ModeS, 1)
-		mustWait(t, pends[i], "S waiter")
+		pends[i] = m.AcquireAsync(owners[i], row, ModeX, 1)
+		mustWait(t, pends[i], "X waiter")
 	}
-	// Ceiling 2: the first two occupy the active queue, the other four
-	// are culled.
 	if got := m.ThrottleCulled(); got != n-2 {
 		t.Fatalf("culled = %d, want %d", got, n-2)
 	}
-	if got := m.ThrottleLive(); got != n-2 {
-		t.Fatalf("live = %d, want %d", got, n-2)
+	mustInvariants(t, m)
+	drainInOrder(t, m, holder, owners, pends, []int{0, 1, 5, 4, 3, 2})
+	if got := waitingNow(m); got != 0 {
+		t.Fatalf("%d waiters left after drain", got)
 	}
-	throttleIdentity(t, m)
-
-	// Drain: each release posts the queue and refills it from the culled
-	// stack. Every waiter must resolve granted within n rounds.
-	m.ReleaseAll(holder)
-	for round := 0; round < n; round++ {
-		done := true
-		for i, p := range pends {
-			st, err := p.Status()
-			switch st {
-			case StatusGranted:
-				m.ReleaseAll(owners[i])
-				pends[i] = nil
-			case StatusWaiting:
-				done = false
-			default:
-				t.Fatalf("waiter %d: status=%v err=%v", i, st, err)
-			}
-		}
-		// Compact the granted-and-released entries.
-		live := pends[:0]
-		liveOwners := owners[:0]
-		for i, p := range pends {
-			if p != nil {
-				live = append(live, p)
-				liveOwners = append(liveOwners, owners[i])
-			}
-		}
-		pends, owners = live, liveOwners
-		if done && len(pends) == 0 {
-			break
-		}
-	}
-	if len(pends) != 0 {
-		t.Fatalf("%d waiters never drained", len(pends))
-	}
-	if c, r := m.ThrottleCulled(), m.ThrottleReactivated(); c != n-2 || r != c {
-		t.Fatalf("culled=%d reactivated=%d, want %d each after drain", c, r, n-2)
-	}
-	if got := m.ThrottleLive(); got != 0 {
-		t.Fatalf("live = %d after drain, want 0", got)
-	}
-	throttleIdentity(t, m)
+	mustInvariants(t, m)
 }
 
 // TestThrottleDisabled pins the negative Config.Throttle escape hatch: no
-// waiter is ever culled regardless of queue depth.
+// waiter is ever inserted out of arrival order, whatever the queue depth.
 func TestThrottleDisabled(t *testing.T) {
 	m := newMgr(Config{Throttle: -1, Shards: 1})
 	row := RowName(1, 1)
@@ -119,117 +114,134 @@ func TestThrottleDisabled(t *testing.T) {
 	}
 }
 
-// TestThrottleTimeoutWhileCulled: culled waiters stay in the shard's
-// waiting set, so LockTimeout still fires for them — denied in place with
-// ErrTimeout, never reactivated.
-func TestThrottleTimeoutWhileCulled(t *testing.T) {
-	clk := clock.NewSim()
-	m := newMgr(Config{Throttle: 1, Shards: 1, Clock: clk, LockTimeout: 10 * time.Second})
+// TestThrottleValvePromotesOldest pins the fairness valve: after two
+// SweepTimeouts passes the oldest waiter past the ceiling (w3, the first
+// inserted) sits at index c, and a further pass leaves it there.
+func TestThrottleValvePromotesOldest(t *testing.T) {
+	const c = 2
+	m := newMgr(Config{Throttle: c, Shards: 1})
 	row := RowName(1, 1)
 	holder := m.NewOwner(m.RegisterApp())
 	mustGrant(t, m.AcquireAsync(holder, row, ModeX, 1), "holder X")
-
-	// Staggered deadlines: the active waiter (deadline t=10) expires
-	// first; LIFO reactivation then refills the freed slot with c2 (the
-	// newest, deadline re-stamped on reactivation), so c1 times out at
-	// t=12 while still culled — the in-place denial path.
-	active := m.AcquireAsync(m.NewOwner(m.RegisterApp()), row, ModeS, 1)
-	mustWait(t, active, "active waiter")
-	clk.Advance(2 * time.Second)
-	c1 := m.AcquireAsync(m.NewOwner(m.RegisterApp()), row, ModeS, 1)
-	mustWait(t, c1, "c1 (culled)")
-	clk.Advance(2 * time.Second)
-	c2owner := m.NewOwner(m.RegisterApp())
-	c2 := m.AcquireAsync(c2owner, row, ModeS, 1)
-	mustWait(t, c2, "c2 (culled)")
-	if got := m.ThrottleCulled(); got != 2 {
-		t.Fatalf("culled = %d, want 2", got)
+	owners := make([]*Owner, 6)
+	for i := range owners {
+		owners[i] = m.NewOwner(m.RegisterApp())
+		mustWait(t, m.AcquireAsync(owners[i], row, ModeX, 1), "X waiter")
 	}
-
-	clk.Advance(7 * time.Second) // t=11: only the active waiter expired
-	if n := m.SweepTimeouts(); n != 1 {
-		t.Fatalf("swept %d at t=11, want 1 (active waiter)", n)
+	if q := queueOf(m, row); q[c] != owners[5] {
+		t.Fatalf("before sweeps: index %d holds owner %d, want w6 (newest)", c, q[c].id)
 	}
-	if st, err := active.Status(); st != StatusDenied || !errors.Is(err, ErrTimeout) {
-		t.Fatalf("active waiter: status=%v err=%v, want timeout denial", st, err)
+	m.SweepTimeouts()
+	if q := queueOf(m, row); q[c] != owners[5] {
+		t.Fatalf("after one pass: index %d holds owner %d, want w6 (too young to promote)", c, q[c].id)
 	}
-	// The freed slot was refilled newest-first: c2 reactivated, c1 still
-	// culled.
-	if r := m.ThrottleReactivated(); r != 1 {
-		t.Fatalf("reactivated = %d after refill, want 1 (c2)", r)
+	for pass := 2; pass <= 3; pass++ {
+		m.SweepTimeouts()
+		q := queueOf(m, row)
+		want := []*Owner{owners[0], owners[1], owners[2], owners[5], owners[4], owners[3]}
+		for i := range want {
+			if q[i] != want[i] {
+				t.Fatalf("after %d passes: index %d holds owner %d, want %d", pass, i, q[i].id, want[i].id)
+			}
+		}
 	}
-	mustWait(t, c2, "c2 after reactivation")
-
-	clk.Advance(2 * time.Second) // t=13: c1 (deadline 12) expired while culled
-	if n := m.SweepTimeouts(); n != 1 {
-		t.Fatalf("swept %d at t=13, want 1 (c1)", n)
-	}
-	if st, err := c1.Status(); st != StatusDenied || !errors.Is(err, ErrTimeout) {
-		t.Fatalf("c1: status=%v err=%v, want timeout denial while culled", st, err)
-	}
-	if d := m.ThrottleDenied(); d != 1 {
-		t.Fatalf("denied = %d, want 1 (c1 denied in place)", d)
-	}
-	if l := m.ThrottleLive(); l != 0 {
-		t.Fatalf("live = %d after denial, want 0", l)
-	}
-	throttleIdentity(t, m)
-	m.ReleaseAll(holder)
-	mustGrant(t, c2, "c2 after holder release")
-	m.ReleaseAll(c2owner)
-	throttleIdentity(t, m)
+	mustInvariants(t, m)
 }
 
-// TestThrottleAbortWhileCulled: an owner abort (ReleaseAll with a wait in
-// flight) withdraws its culled request like any waiting one — denied with
-// ErrCanceled, accounting exact.
-func TestThrottleAbortWhileCulled(t *testing.T) {
-	m := newMgr(Config{Throttle: 1, Shards: 1})
-	row := RowName(1, 1)
-	holder := m.NewOwner(m.RegisterApp())
-	mustGrant(t, m.AcquireAsync(holder, row, ModeX, 1), "holder X")
-
-	mustWait(t, m.AcquireAsync(m.NewOwner(m.RegisterApp()), row, ModeS, 1), "active waiter")
-	aborter := m.NewOwner(m.RegisterApp())
-	culled := m.AcquireAsync(aborter, row, ModeS, 1)
-	mustWait(t, culled, "culled waiter")
-	if got := m.ThrottleCulled(); got != 1 {
-		t.Fatalf("culled = %d, want 1", got)
+// TestThrottleOverflowWaiterDenied: a waiter inserted past the ceiling is
+// an ordinary queued request, so a timeout or an abort withdraws it like
+// any other; the rest of the queue still drains in queue order and the
+// invariants hold throughout.
+func TestThrottleOverflowWaiterDenied(t *testing.T) {
+	cases := []struct {
+		name     string
+		withdraw func(t *testing.T, m *Manager, clk *clock.Sim, owners []*Owner)
+		err      error
+		denied   []int // waiters withdrawn, w1 = 0
+		order    []int // grant order of the rest
+	}{
+		{
+			// Deadlines follow arrival: w1 and w2 (t=0) expire at the
+			// first sweep, w3 (t=2) alone at the second, while w4 and
+			// w5 (t=4) still wait.
+			name: "timeout",
+			withdraw: func(t *testing.T, m *Manager, clk *clock.Sim, _ []*Owner) {
+				clk.Advance(6500 * time.Millisecond)
+				if n := m.SweepTimeouts(); n != 2 {
+					t.Fatalf("first sweep denied %d, want 2 (w1, w2)", n)
+				}
+				clk.Advance(2 * time.Second)
+				if n := m.SweepTimeouts(); n != 1 {
+					t.Fatalf("second sweep denied %d, want 1 (w3)", n)
+				}
+			},
+			err:    ErrTimeout,
+			denied: []int{0, 1, 2},
+			order:  []int{4, 3},
+		},
+		{
+			name:     "abort",
+			withdraw: func(_ *testing.T, m *Manager, _ *clock.Sim, owners []*Owner) { m.ReleaseAll(owners[2]) },
+			err:      ErrCanceled,
+			denied:   []int{2},
+			order:    []int{0, 1, 4, 3},
+		},
 	}
-
-	m.ReleaseAll(aborter) // abort: the culled wait is withdrawn in place
-	if st, err := culled.Status(); st != StatusDenied || !errors.Is(err, ErrCanceled) {
-		t.Fatalf("culled waiter: status=%v err=%v, want cancel denial", st, err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := clock.NewSim()
+			m := newMgr(Config{Throttle: 2, Shards: 1, Clock: clk, LockTimeout: 10 * time.Second})
+			row := RowName(1, 1)
+			holder := m.NewOwner(m.RegisterApp())
+			mustGrant(t, m.AcquireAsync(holder, row, ModeX, 1), "holder X")
+			owners := make([]*Owner, 5)
+			pends := make([]*Pending, 5)
+			for i := range owners {
+				switch i {
+				case 2, 3:
+					clk.Advance(2 * time.Second) // w3 at t=2, w4 and w5 at t=4
+				}
+				owners[i] = m.NewOwner(m.RegisterApp())
+				pends[i] = m.AcquireAsync(owners[i], row, ModeX, 1)
+				mustWait(t, pends[i], "X waiter")
+			}
+			// Queue: w1 w2 | w5 w4 w3.
+			tc.withdraw(t, m, clk, owners)
+			for _, i := range tc.denied {
+				if st, err := pends[i].Status(); st != StatusDenied || !errors.Is(err, tc.err) {
+					t.Fatalf("w%d: status=%v err=%v, want denial with %v", i+1, st, err, tc.err)
+				}
+			}
+			mustInvariants(t, m)
+			drainInOrder(t, m, holder, owners, pends, tc.order)
+			if got := waitingNow(m); got != 0 {
+				t.Fatalf("%d waiters left after drain", got)
+			}
+			mustInvariants(t, m)
+		})
 	}
-	if d := m.ThrottleDenied(); d != 1 {
-		t.Fatalf("denied = %d, want 1", d)
-	}
-	throttleIdentity(t, m)
-	m.ReleaseAll(holder)
-	throttleIdentity(t, m)
 }
 
-// TestThrottleDeadlockVictimCulledThenReactivated pins the liveness valve:
-// a deadlock cycle through a culled waiter is invisible to the detector
-// (culled waiters export no wait-graph edges), but SweepTimeouts
-// force-reactivates stale culled waiters, after which the detector sees
-// the cycle and breaks it.
-func TestThrottleDeadlockVictimCulledThenReactivated(t *testing.T) {
+// TestThrottleDeadlockThroughOverflowWaiter: a waiter inserted past the
+// ceiling exports its wait-graph edges at once, so a deadlock cycle
+// through it is found on the first DetectDeadlocks pass with no sweep.
+func TestThrottleDeadlockThroughOverflowWaiter(t *testing.T) {
 	m := newMgr(Config{Throttle: 1, Shards: 1})
 	rowA, rowB := RowName(1, 1), RowName(1, 2)
+	// The filler is oldest: o2 waits behind it, so o2 → filler → o1 → o2
+	// is a second cycle, and o2 must be the youngest owner on both.
+	filler := m.NewOwner(m.RegisterApp())
 	o1 := m.NewOwner(m.RegisterApp())
 	o2 := m.NewOwner(m.RegisterApp())
-	filler := m.NewOwner(m.RegisterApp())
 
 	mustGrant(t, m.AcquireAsync(o1, rowA, ModeX, 1), "o1 X A")
 	mustGrant(t, m.AcquireAsync(o2, rowB, ModeX, 1), "o2 X B")
-
-	// The filler occupies rowA's single active-queue slot so o2's request
-	// for A is culled — its wait-for edge to o1 disappears from the graph.
+	// The filler takes rowA's one in-order slot, so o2's request for A is
+	// inserted past the ceiling.
 	pFiller := m.AcquireAsync(filler, rowA, ModeS, 1)
 	mustWait(t, pFiller, "filler S A")
 	p2 := m.AcquireAsync(o2, rowA, ModeS, 1)
-	mustWait(t, p2, "o2 S A (culled)")
+	mustWait(t, p2, "o2 S A (past the ceiling)")
 	if got := m.ThrottleCulled(); got != 1 {
 		t.Fatalf("culled = %d, want 1", got)
 	}
@@ -237,43 +249,22 @@ func TestThrottleDeadlockVictimCulledThenReactivated(t *testing.T) {
 	p1 := m.AcquireAsync(o1, rowB, ModeS, 1)
 	mustWait(t, p1, "o1 S B")
 
-	// The cycle exists but one edge is culled: the detector must not see
-	// it (no false victim, but also no detection).
-	if n := m.DetectDeadlocks(); n != 0 {
-		t.Fatalf("detector denied %d with the edge culled, want 0", n)
+	if n := m.DetectDeadlocks(); n != 1 {
+		t.Fatalf("first detector pass denied %d, want 1", n)
 	}
-
-	// Two sweep passes age the culled waiter past the valve threshold and
-	// force-reactivate it into the active queue, restoring its edge.
-	m.SweepTimeouts()
-	m.SweepTimeouts()
-	if got := m.ThrottleReactivated(); got != 1 {
-		t.Fatalf("reactivated = %d after valve sweeps, want 1", got)
+	// The victim is the youngest owner on the cycle: o2.
+	if st, err := p2.Status(); st != StatusDenied || !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("o2: status=%v err=%v, want deadlock denial", st, err)
 	}
-
-	if n := m.DetectDeadlocks(); n == 0 {
-		t.Fatal("detector found nothing after reactivation, want a victim")
-	}
-	// The victim is the youngest owner on the cycle (o2): exactly one of
-	// the two cycle edges must have been denied with ErrDeadlock.
-	st1, err1 := p1.Status()
-	st2, err2 := p2.Status()
-	deadlocked := 0
-	if st1 == StatusDenied && errors.Is(err1, ErrDeadlock) {
-		deadlocked++
-	}
-	if st2 == StatusDenied && errors.Is(err2, ErrDeadlock) {
-		deadlocked++
-	}
-	if deadlocked != 1 {
-		t.Fatalf("deadlock denials = %d (p1=%v/%v p2=%v/%v), want exactly 1",
-			deadlocked, st1, err1, st2, err2)
-	}
-	throttleIdentity(t, m)
-	m.ReleaseAll(o1)
+	mustWait(t, p1, "o1 S B after the victim")
+	mustWait(t, pFiller, "filler S A after the victim")
+	mustInvariants(t, m)
 	m.ReleaseAll(o2)
+	mustGrant(t, p1, "o1 S B after o2 aborts")
+	m.ReleaseAll(o1)
+	mustGrant(t, pFiller, "filler S A after o1 commits")
 	m.ReleaseAll(filler)
-	throttleIdentity(t, m)
+	mustInvariants(t, m)
 }
 
 // TestRetuneThrottleEngageStepDisengage drives the adaptive controller
@@ -288,8 +279,8 @@ func TestRetuneThrottleEngageStepDisengage(t *testing.T) {
 	holder := m.NewOwner(m.RegisterApp())
 	mustGrant(t, m.AcquireAsync(holder, row, ModeX, 1), "holder X")
 
-	// Build a queue past the engage threshold while disengaged: nothing
-	// is culled, but the high-water mark records the depth.
+	// Build a queue past the engage threshold while disengaged: every
+	// waiter is appended, but the high-water mark records the depth.
 	var owners []*Owner
 	for i := 0; i < throttleEngageHW+4; i++ {
 		o := m.NewOwner(m.RegisterApp())
@@ -304,13 +295,13 @@ func TestRetuneThrottleEngageStepDisengage(t *testing.T) {
 	if got := m.ThrottleCeilingMax(); got != throttleEngageCeil {
 		t.Fatalf("ceiling = %d after engage window, want %d", got, throttleEngageCeil)
 	}
-	// With the ceiling engaged and the active queue far past it, the next
-	// arrival is culled.
+	// With the ceiling engaged and the queue far past it, the next arrival
+	// is inserted at the ceiling's index.
 	late := m.NewOwner(m.RegisterApp())
 	owners = append(owners, late)
 	mustWait(t, m.AcquireAsync(late, row, ModeS, 1), "late S waiter")
-	if got := m.ThrottleCulled(); got != 1 {
-		t.Fatalf("culled = %d after engage, want 1", got)
+	if q := queueOf(m, row); q[throttleEngageCeil] != late {
+		t.Fatalf("late waiter not at queue index %d", throttleEngageCeil)
 	}
 
 	// Second busy window with no grants: throughput regressed, so the
@@ -329,8 +320,8 @@ func TestRetuneThrottleEngageStepDisengage(t *testing.T) {
 			m.ReleaseAll(o)
 		}
 	}
-	if got := m.ThrottleLive(); got != 0 {
-		t.Fatalf("live = %d after drain, want 0", got)
+	if got := waitingNow(m); got != 0 {
+		t.Fatalf("%d waiters left after drain", got)
 	}
 	m.RetuneThrottle() // clears the drain window's residual high-water mark
 	m.RetuneThrottle() // quiet window 1
@@ -355,12 +346,12 @@ func TestRetuneThrottleEngageStepDisengage(t *testing.T) {
 	if len(dl.Decisions()) < 3 {
 		t.Fatalf("decision log has %d entries, want every ceiling move (≥3)", len(dl.Decisions()))
 	}
-	throttleIdentity(t, m)
+	mustInvariants(t, m)
 }
 
 // TestThrottleConcurrentHammer pounds one hot lock from many goroutines
 // with a fixed ceiling while sweeps, detection, and invariant checks run
-// concurrently — the -race gate's target for the culled-set paths.
+// concurrently — the -race gate's target for the throttled queue paths.
 func TestThrottleConcurrentHammer(t *testing.T) {
 	m := newMgr(Config{Throttle: 2, Shards: 2, LockTimeout: 20 * time.Millisecond})
 	app := m.RegisterApp()
@@ -383,7 +374,7 @@ func TestThrottleConcurrentHammer(t *testing.T) {
 					mode = ModeX
 				}
 				// Errors (timeout under the storm) are expected; the
-				// accounting identity at the end is the assertion.
+				// drain and the invariants at the end are the assertion.
 				_ = m.Acquire(st.ctx, o, row, mode, 1)
 				m.ReleaseAll(o)
 			}
@@ -408,9 +399,8 @@ func TestThrottleConcurrentHammer(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	st.stop()
 	wg.Wait()
-	m.SweepTimeouts() // final valve pass for any parked stragglers
-	if got := m.ThrottleLive(); got != 0 {
-		t.Fatalf("live = %d after full drain, want 0", got)
+	if got := waitingNow(m); got != 0 {
+		t.Fatalf("%d waiters left after full drain", got)
 	}
-	throttleIdentity(t, m)
+	mustInvariants(t, m)
 }

@@ -166,13 +166,12 @@ func Run(cfg Config) *Result {
 	// charge, so under the fake clock the series is byte-deterministic —
 	// the determinism test pins the profiler's attribution itself.
 	hotBlame := set.Series("hot-lock blame", "ms")
-	// Admission-throttle series. Cull/reactivation counts are driven by
-	// latched queue state and the deterministic sweep cadence, and the
-	// ceiling by RetuneThrottle on the tuner cadence reading engine-clock
-	// signals — all deterministic under the fake clock (a single-goroutine
-	// sim rarely saturates, so these typically pin at zero).
+	// Admission-throttle series. The culled count (waiters queued behind a
+	// ceiling) is driven by latched queue state, and the ceiling by
+	// RetuneThrottle on the tuner cadence reading engine-clock signals —
+	// both deterministic under the fake clock (a single-goroutine sim
+	// rarely saturates, so they typically pin at zero).
 	throtCulled := set.Series("throttle culled", "count")
-	throtReact := set.Series("throttle reactivated", "count")
 	throtCeiling := set.Series("throttle ceiling", "waiters")
 
 	res := &Result{Series: set}
@@ -262,7 +261,6 @@ func Run(cfg Config) *Result {
 			latchParks.Record(now, float64(snap.LockLatchParks))
 			latchHandoffs.Record(now, float64(snap.LockLatchHandoffs))
 			throtCulled.Record(now, float64(snap.LockThrottleCulled))
-			throtReact.Record(now, float64(snap.LockThrottleReactivated))
 			throtCeiling.Record(now, float64(snap.LockThrottleCeiling))
 			globalStall.Record(now, float64(snap.LockGlobalHoldMax)/1e3)
 			ws := cfg.DB.Locks().WaitHist().Snapshot()
