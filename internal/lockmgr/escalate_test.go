@@ -284,3 +284,60 @@ func TestMemoryDenialWithNothingToEscalate(t *testing.T) {
 		t.Fatalf("stats = %+v", m.Stats())
 	}
 }
+
+// TestParkedRetryQueuesAsWaiter pins both halves of the wait list's one
+// waiting state: a request parked behind an escalation is on the wait list
+// but on no queue, and once retried into a lock queue it is an ordinary
+// waiter — CheckInvariants holds at each step, and a deadlock through it
+// is found on the first detector pass.
+func TestParkedRetryQueuesAsWaiter(t *testing.T) {
+	m := New(Config{InitialPages: 32, Quota: fixedQuota(10)})
+	o1 := m.NewOwner(m.RegisterApp())
+	o2 := m.NewOwner(m.RegisterApp())
+	o3 := m.NewOwner(m.RegisterApp())
+	// o2's IS on table 1 makes the escalation wait, so the trigger parks.
+	mustGrant(t, m.AcquireAsync(o2, TableName(1), ModeIS, 1), "o2 IS t1")
+	mustGrant(t, m.AcquireAsync(o3, TableName(2), ModeIX, 1), "o3 IX t2")
+	mustGrant(t, m.AcquireAsync(o3, RowName(2, 0), ModeX, 1), "o3 X (2,0)")
+
+	// Fill o1 to one structure under its 10% quota, so its request for
+	// row (2,0) escalates table 1 and parks, then retries into o3's queue.
+	mustGrant(t, m.AcquireAsync(o1, TableName(1), ModeIX, 1), "o1 IX t1")
+	limit := memblock.StructsPerBlock / 10
+	for i := 0; m.AppStructs(o1.app) < limit-1; i++ {
+		mustGrant(t, m.AcquireAsync(o1, RowName(1, uint64(i)), ModeX, 1), "o1 row under quota")
+	}
+	mustGrant(t, m.AcquireAsync(o1, TableName(2), ModeIX, 1), "o1 IX t2")
+	if m.Stats().Escalations != 0 {
+		t.Fatal("escalated before the trigger")
+	}
+	p1 := m.AcquireAsync(o1, RowName(2, 0), ModeX, 1)
+	if m.Stats().Escalations != 1 {
+		t.Fatalf("escalations = %d, want 1", m.Stats().Escalations)
+	}
+	mustWait(t, p1, "o1 (2,0) parked behind the escalation")
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(o2) // the escalation completes and the retry queues behind o3
+	mustWait(t, p1, "o1 (2,0) queued behind o3")
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Close a cycle: o3 needs table 1, which o1 now holds in X.
+	p3 := m.AcquireAsync(o3, TableName(1), ModeIX, 1)
+	mustWait(t, p3, "o3 IX t1")
+	if n := m.DetectDeadlocks(); n != 1 {
+		t.Fatalf("first detector pass denied %d, want 1", n)
+	}
+	if st, err := p3.Status(); st != StatusDenied || !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("o3 (youngest): status=%v err=%v, want deadlock denial", st, err)
+	}
+	m.ReleaseAll(o3)
+	mustGrant(t, p1, "o1 (2,0) after o3 aborts")
+	m.ReleaseAll(o1)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
