@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test allocs race check-bench bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
+.PHONY: all build test allocs race flake check-bench bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
 
 all: build
 
@@ -25,10 +25,30 @@ allocs:
 # the event ring, the transaction layer (optimistic read tokens validated
 # against concurrent writers), and the buffer pool with the flat hash table
 # that indexes it and the lock table.
+RACE_PKGS = ./internal/latch ./internal/lockmgr ./internal/memblock \
+	./internal/engine ./internal/obs ./internal/trace ./internal/txn \
+	./internal/bufferpool ./internal/flathash
 race:
-	$(GO) test -race -timeout 180s ./internal/latch ./internal/lockmgr ./internal/memblock \
-		./internal/engine ./internal/obs ./internal/trace ./internal/txn \
-		./internal/bufferpool ./internal/flathash
+	$(GO) test -race -timeout 180s $(RACE_PKGS)
+
+# flake hunts intermittent failures: FLAKE_COUNT (default 20) repetitions of
+# tier-1 and of the race package list above at each GOMAXPROCS in
+# FLAKE_PROCS (default 1 2 4 8). Each repetition is its own go test run with
+# the same -timeout 180s as test and race, so a hang fails in three minutes
+# and the bound applies per run, not to twenty runs at once. It stops at the
+# first failure and names the GOMAXPROCS and repetition.
+FLAKE_COUNT ?= 20
+FLAKE_PROCS ?= 1 2 4 8
+flake:
+	@set -e; log=$$(mktemp); trap 'rm -f $$log' EXIT; \
+	for p in $(FLAKE_PROCS); do for i in $$(seq $(FLAKE_COUNT)); do \
+		echo "flake: GOMAXPROCS=$$p run $$i/$(FLAKE_COUNT)"; \
+		GOMAXPROCS=$$p $(GO) test -count=1 -timeout 180s ./... >$$log 2>&1 || \
+			{ cat $$log; echo "flake: tier-1 failed at GOMAXPROCS=$$p run $$i"; exit 1; }; \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 -timeout 180s $(RACE_PKGS) >$$log 2>&1 || \
+			{ cat $$log; echo "flake: race failed at GOMAXPROCS=$$p run $$i"; exit 1; }; \
+	done; done; \
+	echo "flake: $(FLAKE_COUNT) runs at each GOMAXPROCS in $(FLAKE_PROCS) passed"
 
 # check-bench compiles, vets and runs the short tests of bench/, a nested
 # module that go build ./... and go test ./... do not see: it reaches into

@@ -2,6 +2,7 @@ package bufferpool
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -160,4 +161,82 @@ func TestConcurrentAccess(t *testing.T) {
 	if hits+misses != 16000 {
 		t.Fatalf("accesses = %d, want 16000", hits+misses)
 	}
+}
+
+// stripedPool returns a pool of 65 536 pages built at GOMAXPROCS ≥ 2, large
+// enough to stripe.
+func stripedPool(t *testing.T) *Pool {
+	t.Helper()
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	p := New(65536)
+	if len(p.stripes) < 2 {
+		t.Fatalf("stripes = %d, want > 1", len(p.stripes))
+	}
+	return p
+}
+
+// checkShares asserts the pool holds pages frames split evenly: stripe
+// shares differ by at most one.
+func checkShares(t *testing.T, p *Pool, pages int) {
+	t.Helper()
+	if got := p.Pages(); got != pages {
+		t.Fatalf("pages = %d, want %d", got, pages)
+	}
+	lo, hi, sum := len(p.stripes[0].frames), 0, 0
+	for i := range p.stripes {
+		n := len(p.stripes[i].frames)
+		lo, hi, sum = min(lo, n), max(hi, n), sum+n
+	}
+	if sum != pages || hi-lo > 1 {
+		t.Fatalf("stripe shares %d..%d sum %d, want even split of %d", lo, hi, sum, pages)
+	}
+}
+
+func TestStripedResizeSplitsEvenly(t *testing.T) {
+	p := stripedPool(t)
+	checkShares(t, p, 65536)
+	for _, pages := range []int{70001, 40003, 7, 0, 65536} {
+		p.Resize(pages)
+		checkShares(t, p, pages)
+	}
+}
+
+func TestStripedWorkingSetFits(t *testing.T) {
+	p := stripedPool(t)
+	for round := 0; round < 3; round++ {
+		for pg := uint64(0); pg < 4096; pg++ {
+			p.Access(pg)
+		}
+	}
+	hits, misses, ev := p.Stats()
+	if misses != 4096 || hits != 2*4096 || ev != 0 {
+		t.Fatalf("hits=%d misses=%d evictions=%d, want %d cold misses only", hits, misses, ev, 4096)
+	}
+}
+
+func TestStripedConcurrentAccessResize(t *testing.T) {
+	p := stripedPool(t)
+	const goroutines, accesses = 8, 4000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < accesses; i++ {
+				p.Access(uint64(rng.Intn(100000)))
+				if i%500 == 0 {
+					p.Resize(16384 + rng.Intn(65536))
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	hits, misses, _ := p.Stats()
+	if hits+misses != goroutines*accesses {
+		t.Fatalf("accesses = %d, want %d", hits+misses, goroutines*accesses)
+	}
+	checkShares(t, p, p.Pages())
 }

@@ -64,13 +64,17 @@ package lockmgr
 //
 // # Publication
 //
-// Headers are published into a per-shard, latch-free slot array
-// (fastSlots) by the latched settle, once they prove hot (a table lock, or
-// ≥ 2 holders) and fast-eligible. Published headers are never evicted or
-// recycled — an empty published header stays resident with an admitting
-// all-zero word, which is exactly what keeps a hot key's grants latch-free
-// across transactions (deferred reclamation, per the release design). The
-// slot population is bounded (fastSlotsPerShard), so residency is too.
+// Headers are published into a per-shard, latch-free, insert-only table
+// (fastSlots: 512 slots, home slot = top 9 hash bits, linear probing) by
+// the latched settle, once they prove hot (a table lock, or ≥ 2 holders)
+// and fast-eligible. The settle takes the first nil slot along the probe
+// chain; the shard latch makes it the table's only writer. Published
+// headers are never evicted or recycled — an empty published header stays
+// resident with an admitting all-zero word, which is exactly what keeps a
+// hot key's grants latch-free across transactions (deferred reclamation,
+// per the release design). Publication stops at fastPublishMax (256)
+// headers per shard, which bounds residency and keeps the table at most
+// half full, so a nil slot ends every miss.
 //
 // # The gate
 //
@@ -106,13 +110,35 @@ const (
 	wordNIXShift = 0
 )
 
-// fastSlotsPerShard is the size of each shard's latch-free header slot
-// array. Slot index is the top 6 bits of the name hash (independent of the
-// shard-selection bits at the bottom).
-const fastSlotsPerShard = 64
+// Publication table geometry. Each shard's table has fastSlotsPerShard
+// slots; a name's home slot is the top fastSlotBits bits of its hash
+// (independent of the shard-selection bits at the bottom), and a lookup
+// probes linearly from there. Publication stops at fastPublishMax headers
+// per shard — half the slots — so at least one slot is always nil and ends
+// every probe that misses. fastPublishMax is also the residency bound:
+// published headers are never evicted.
+const (
+	fastSlotBits      = 9
+	fastSlotsPerShard = 1 << fastSlotBits
+	fastPublishMax    = fastSlotsPerShard / 2
+)
 
-// fastSlotIndex maps a name hash to its shard-local slot.
-func fastSlotIndex(hash uint64) int { return int(hash >> 58) }
+// fastHome maps a name hash to its home slot in the publication table.
+func fastHome(hash uint64) int { return int(hash >> (64 - fastSlotBits)) }
+
+// fastLookup returns the header published for name, or nil. Latch-free:
+// the table is insert-only and a slot, once set, never changes, so a probe
+// that meets a nil slot has seen every header published before it began.
+// A header published during the probe may be missed; the caller then takes
+// the latched path.
+func (s *shard) fastLookup(hash uint64, name Name) *lockHeader {
+	for i := fastHome(hash); ; i = (i + 1) & (fastSlotsPerShard - 1) {
+		h := s.fastSlots[i].Load()
+		if h == nil || h.name == name {
+			return h
+		}
+	}
+}
 
 // Fast-credit watermarks: refill the shard's credit toward
 // fastCreditChunk structures whenever a latched acquire finds it below
@@ -247,10 +273,10 @@ func (m *Manager) sealFastWord(h *lockHeader) (w uint64, open bool) {
 // state — counts and group mode when the state is fast-representable, a
 // fence otherwise — bumping the settle sequence. It also performs first
 // publication: a header that has proven hot (table granularity, or ≥ 2
-// holders) and fast-eligible is installed in its shard's slot array, if
-// the slot is free. Latched sections call it on every header they sealed
-// (or may have mutated) before dropping the latch. Caller holds the home
-// shard latch.
+// holders) and fast-eligible is installed in its shard's publication
+// table, unless the table already holds fastPublishMax headers. Latched
+// sections call it on every header they sealed (or may have mutated)
+// before dropping the latch. Caller holds the home shard latch.
 func (m *Manager) settleFast(s *shard, h *lockHeader) {
 	if !h.published {
 		// Publication check. Fail fast for the common unpublishable cases
@@ -265,15 +291,18 @@ func (m *Manager) settleFast(s *shard, h *lockHeader) {
 		if len(h.converters) != 0 || len(h.waiters) != 0 {
 			return
 		}
-		slot := &s.fastSlots[fastSlotIndex(hashName(h.name))]
-		if slot.Load() != nil {
-			return // slot taken by another hot header; stay latched
+		if s.fastPublishedN.Load() >= fastPublishMax {
+			return // table half full; stay latched
+		}
+		i := fastHome(hashName(h.name))
+		for s.fastSlots[i].Load() != nil {
+			i = (i + 1) & (fastSlotsPerShard - 1)
 		}
 		h.published = true
 		h.word.Store(m.recomputeWord(h, h.epoch.Load()&wordSeqMask))
 		// Word before slot: a fast op that observes the pointer observes
 		// an initialized word (sequentially consistent atomics).
-		slot.Store(h)
+		s.fastSlots[i].Store(h)
 		s.fastPublishedN.Add(1)
 		return
 	}
@@ -463,8 +492,8 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 	}
 
 	// Grant-word CAS admission.
-	h := s.fastSlots[fastSlotIndex(hash)].Load()
-	if h == nil || h.name != name {
+	h := s.fastLookup(hash, name)
+	if h == nil {
 		o.mu.Unlock()
 		return nil // name not published (yet); latched path
 	}

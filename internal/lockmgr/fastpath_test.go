@@ -237,6 +237,117 @@ func TestWordPredicateMatchesModeTables(t *testing.T) {
 	}
 }
 
+// --- Publication table -----------------------------------------------------
+
+// publishRow has two fresh owners hold S on name at once — the second
+// holder's settle publishes a row header — and then releases both.
+func publishRow(t *testing.T, m *Manager, app *App, name Name) {
+	t.Helper()
+	a, b := m.NewOwner(app), m.NewOwner(app)
+	mustGrant(t, m.AcquireAsync(a, name, ModeS, 1), "first S")
+	mustGrant(t, m.AcquireAsync(b, name, ModeS, 1), "second S")
+	m.ReleaseAll(a)
+	m.ReleaseAll(b)
+}
+
+// TestPublishWholeHotSet: a hot set far larger than the old 64-slot array
+// publishes in full on one shard, and every row then admits a read token.
+func TestPublishWholeHotSet(t *testing.T) {
+	m := New(Config{InitialPages: 64, Shards: 1})
+	a, b := m.NewOwner(m.RegisterApp()), m.NewOwner(m.RegisterApp())
+	for r := uint64(0); r < 200; r++ {
+		n := RowName(1, r) // the second S holder's settle publishes the header
+		mustGrant(t, m.AcquireAsync(a, n, ModeS, 1), "a")
+		mustGrant(t, m.AcquireAsync(b, n, ModeS, 1), "b")
+	}
+	m.ReleaseAll(a)
+	m.ReleaseAll(b)
+	for r := uint64(0); r < 200; r++ {
+		if _, ok := m.TryOptimisticRead(RowName(1, r), ModeS); !ok {
+			t.Fatalf("row %d unpublished", r)
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPublishSharedHomeSlot: two names whose hashes pick the same home slot
+// both publish; the second takes the next slot along the probe chain.
+func TestPublishSharedHomeSlot(t *testing.T) {
+	m := newMgr(Config{Shards: 1})
+	app := m.RegisterApp()
+	first := make(map[int]Name)
+	var x, y Name
+	for r := uint64(0); ; r++ {
+		n := RowName(1, r)
+		home := fastHome(hashName(n))
+		if prev, ok := first[home]; ok {
+			x, y = prev, n
+			break
+		}
+		first[home] = n
+	}
+	publishRow(t, m, app, x)
+	publishRow(t, m, app, y)
+	for _, n := range []Name{x, y} {
+		if _, ok := m.TryOptimisticRead(n, ModeS); !ok {
+			t.Fatalf("%v unpublished", n)
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPublishBound: a shard publishes fastPublishMax (256) hot headers and
+// no more; the next hot header stays on the latched path, and the table,
+// half full, still passes every invariant.
+func TestPublishBound(t *testing.T) {
+	m := newMgr(Config{Shards: 1})
+	app := m.RegisterApp()
+	for r := uint64(0); r <= fastPublishMax; r++ {
+		publishRow(t, m, app, RowName(1, r))
+	}
+	for r := uint64(0); r < fastPublishMax; r++ {
+		if _, ok := m.TryOptimisticRead(RowName(1, r), ModeS); !ok {
+			t.Fatalf("row %d unpublished", r)
+		}
+	}
+	if _, ok := m.TryOptimisticRead(RowName(1, fastPublishMax), ModeS); ok {
+		t.Fatalf("header %d published past the bound", fastPublishMax+1)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariantsCatchesProbeGap moves a published header past a nil
+// slot on its probe chain, where a lookup from its home slot stops short
+// of it, and asserts the world-stopped check reports it.
+func TestCheckInvariantsCatchesProbeGap(t *testing.T) {
+	m := newMgr(Config{Shards: 1})
+	name := RowName(1, 1)
+	publishRow(t, m, m.RegisterApp(), name)
+	s := m.shardFor(name)
+	home := fastHome(hashName(name))
+	h := s.fastSlots[home].Load()
+	if h == nil || h.name != name {
+		t.Fatal("only published header not in its home slot")
+	}
+	gap := (home + 2) & (fastSlotsPerShard - 1)
+	s.fastSlots[home].Store(nil)
+	s.fastSlots[gap].Store(h)
+	if err := m.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a header past a nil slot")
+	}
+	s.fastSlots[gap].Store(nil)
+	s.fastSlots[home].Store(h)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // --- Race tests: the fast path vs conversions, escalation, resize ----------
 
 // TestFastPathRaceConversions runs fast IS/S traffic on shared hot tables

@@ -182,9 +182,10 @@ func (m *Manager) checkInvariantsLocked() error {
 			}
 			if h.published {
 				publishedN++
-				slot := s.fastSlots[fastSlotIndex(hashName(name))].Load()
-				if slot != h {
-					return fmt.Errorf("lockmgr: published header %v not in its fast slot", name)
+				// Reachable from its home slot: no nil slot on its probe
+				// chain, where a lookup would stop short of it.
+				if s.fastLookup(hashName(name), name) != h {
+					return fmt.Errorf("lockmgr: published header %v not reachable in its shard's publication table", name)
 				}
 			}
 			if m.shardOf(name) != i {
@@ -306,9 +307,10 @@ func (m *Manager) checkInvariantsLocked() error {
 				return fmt.Errorf("lockmgr: owner %d waits in shard %d without touched bit", req.owner.id, i)
 			}
 		}
-		// Fast-path slot array: every non-nil slot points at a published
-		// header of this shard's table, and the published population mirror
-		// is exact.
+		// Publication table: every non-nil slot points at a published
+		// header of this shard's table (each of which fastLookup reached
+		// above), and the published population mirror is exact and within
+		// fastPublishMax.
 		slotN := 0
 		for j := range s.fastSlots {
 			h := s.fastSlots[j].Load()
@@ -322,13 +324,13 @@ func (m *Manager) checkInvariantsLocked() error {
 			if s.header(hashName(h.name), h.name) != h {
 				return fmt.Errorf("lockmgr: shard %d slot %d header %v not in table", i, j, h.name)
 			}
-			if fastSlotIndex(hashName(h.name)) != j {
-				return fmt.Errorf("lockmgr: shard %d header %v in wrong slot %d", i, h.name, j)
-			}
 		}
 		if slotN != publishedN || int(s.fastPublishedN.Load()) != publishedN {
 			return fmt.Errorf("lockmgr: shard %d published-header counts disagree: slots %d, table %d, mirror %d",
 				i, slotN, publishedN, s.fastPublishedN.Load())
+		}
+		if publishedN > fastPublishMax {
+			return fmt.Errorf("lockmgr: shard %d publishes %d headers, bound %d", i, publishedN, fastPublishMax)
 		}
 		// Fast credit: the standing lease physically backs the whole credit
 		// line; the consumed part is exactly the granted fast-leased weight

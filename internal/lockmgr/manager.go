@@ -694,11 +694,12 @@ type lockHeader struct {
 
 	// word is the packed latch-free grant word (see fastpath.go); it is
 	// meaningful only once published is set (latch-guarded) and the
-	// header is installed in its shard's fastSlots. Published headers are
-	// never recycled onto the header freelist and never evicted from the
-	// table — an emptied one stays resident with an admitting word
-	// (deferred reclamation), which is what keeps a hot key latch-free
-	// across transactions.
+	// header is installed in its shard's publication table (fastSlots),
+	// where fastLookup finds it. Published headers are never recycled onto
+	// the header freelist and never evicted from the table — an emptied
+	// one stays resident with an admitting word (deferred reclamation),
+	// which is what keeps a hot key latch-free across transactions. At
+	// most fastPublishMax (256) headers per shard are ever published.
 	word      atomic.Uint64
 	published bool
 
@@ -879,10 +880,13 @@ type shard struct {
 	rfreeN atomic.Int32
 
 	// Latch-free admission state (fastpath.go). fastSlots is the
-	// published-header lookup array (slot = top hash bits); fastFree the
-	// struct credit fast grants CAS against; fastOps the gate in-flight
-	// counter runGlobal drains; fastPublishedN a latch-free hint that the
-	// shard has any published headers at all (a zero short-circuits the
+	// publication table: insert-only and open-addressed (home slot = top
+	// 9 hash bits, linear probing), read through fastLookup and written
+	// only by the latched settle; fastFree the struct credit fast grants
+	// CAS against; fastOps the gate in-flight counter runGlobal drains;
+	// fastPublishedN the number of published headers, which publication
+	// keeps at or below fastPublishMax and which doubles as a latch-free
+	// hint that the shard has any at all (a zero short-circuits the
 	// Release probe and credit refills). fastLease and fastLeaseTotal —
 	// guarded by mu — hold the standing pool lease backing the credit:
 	// fastLeaseTotal - fastFree is exactly the weight of in-flight

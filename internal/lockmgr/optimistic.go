@@ -124,8 +124,8 @@ func (m *Manager) TryOptimisticRead(name Name, mode Mode) (OptToken, bool) {
 	if s.fastPublishedN.Load() == 0 {
 		return OptToken{}, false
 	}
-	h := s.fastSlots[fastSlotIndex(hash)].Load()
-	if h == nil || h.name != name {
+	h := s.fastLookup(hash, name)
+	if h == nil {
 		return OptToken{}, false
 	}
 	// Epoch before word (seqlock read order): a settle that lands between

@@ -13,6 +13,7 @@ package txn
 import (
 	"errors"
 	"runtime"
+	"sync"
 
 	"repro/internal/lockmgr"
 	"repro/internal/storage"
@@ -108,27 +109,41 @@ func roBackoff(attempt int) {
 	}
 }
 
+// tokenBufs recycles RunReadOnly's token buffers (*[]lockmgr.OptToken), so
+// a read-only transaction appends its tokens without allocating.
+var tokenBufs = sync.Pool{New: func() any { return new([]lockmgr.OptToken) }}
+
 // RunReadOnly runs fn inside a ReadOnly transaction, retrying on
 // ErrReadInvalidated with a bounded backoff (maxRetries optimistic
 // attempts). If every optimistic attempt is invalidated — a hot writer
 // keeps touching the read set — the final attempt runs under plain
 // RepeatableRead two-phase locking, which takes real S locks and cannot be
 // invalidated, so RunReadOnly always terminates with fn's own error or
-// nil. fn must be idempotent (it reruns on retry) and must only read.
+// nil. fn must be idempotent (it reruns on retry), must only read, and
+// must not keep its Txn after it returns. The optimistic attempts append
+// their tokens to one buffer recycled across calls.
 func (m *Manager) RunReadOnly(app *lockmgr.App, maxRetries int, fn func(*Txn) error) error {
 	if maxRetries < 1 {
 		maxRetries = 1
 	}
+	buf := tokenBufs.Get().(*[]lockmgr.OptToken)
+	defer tokenBufs.Put(buf)
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		t := m.Begin(app)
 		t.isolation = ReadOnly
-		if err := fn(t); err != nil {
+		t.tokens = (*buf)[:0]
+		var err error
+		fnErr := fn(t)
+		if fnErr != nil {
 			t.Abort()
-			return err
+		} else {
+			err = t.CommitValidated()
 		}
-		err := t.CommitValidated()
-		if err == nil {
-			return nil
+		// Keep the buffer as it grew, and leave the finished Txn no alias
+		// of it.
+		*buf, t.tokens = t.tokens[:0], nil
+		if fnErr != nil {
+			return fnErr
 		}
 		if !errors.Is(err, ErrReadInvalidated) {
 			return err

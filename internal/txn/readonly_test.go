@@ -3,6 +3,7 @@ package txn
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,9 +12,9 @@ import (
 )
 
 // publishRow makes the row's header (and its table's intent header) hot
-// enough to publish into the fast-slot array: two concurrent S holders on
-// the row, committed away. ReadOnly reads of the row can then be served by
-// optimistic tokens.
+// enough to publish into its shard's publication table: two concurrent S
+// holders on the row, committed away. ReadOnly reads of the row can then
+// be served by optimistic tokens.
 func publishRow(t *testing.T, m *Manager, lm *lockmgr.Manager, app *lockmgr.App, table uint32, row uint64) {
 	t.Helper()
 	ctx := context.Background()
@@ -272,5 +273,43 @@ func TestRunReadOnlySucceedsQuiet(t *testing.T) {
 	commits, aborts, _ := m.Stats()
 	if commits != 3 || aborts != 0 { // 2 publishing commits + 1 readonly
 		t.Fatalf("stats = %d/%d, want 3/0", commits, aborts)
+	}
+}
+
+// TestRunReadOnlyReusesTokenBuffer: a quiet 16-row read-only transaction
+// appends its 17 tokens to a recycled buffer, so the call allocates no more
+// than the Txn itself (and one spare for the runtime).
+func TestRunReadOnlyReusesTokenBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector")
+	}
+	m, lm := newManagers()
+	app := lm.RegisterApp()
+	for r := uint64(0); r < 16; r++ {
+		publishRow(t, m, lm, app, 1, r)
+	}
+	ctx := context.Background()
+	read := func(tx *Txn) error {
+		for r := uint64(0); r < 16; r++ {
+			if err := tx.LockRow(ctx, 1, r, lockmgr.ModeS); err != nil {
+				return err
+			}
+		}
+		if tx.OptimisticReads() != 17 {
+			return fmt.Errorf("optimistic reads = %d, want 17", tx.OptimisticReads())
+		}
+		return nil
+	}
+	if err := m.RunReadOnly(app, 3, read); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := m.RunReadOnly(app, 3, read); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("RunReadOnly allocs = %v", allocs)
+	if allocs > 2 {
+		t.Fatalf("RunReadOnly allocs = %v, want ≤ 2", allocs)
 	}
 }
