@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test allocs race flake check-bench bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
+.PHONY: all build test allocs race hammer flake check-bench bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
 
 all: build
 
@@ -30,6 +30,18 @@ RACE_PKGS = ./internal/latch ./internal/lockmgr ./internal/memblock \
 	./internal/bufferpool ./internal/flathash
 race:
 	$(GO) test -race -timeout 180s $(RACE_PKGS)
+
+# hammer reruns the concurrent hammer tests (every Test*Hammer) under the
+# race detector, three times at each of GOMAXPROCS 1, 2 and 8: their
+# interleavings, and so what they exercise, change with the number of Ps,
+# and a failure seen only at 8 would otherwise wait for make flake, which
+# takes hours. About 20 s on 2 cores.
+HAMMER_PKGS = ./internal/lockmgr ./internal/txn ./internal/engine
+hammer:
+	@set -e; for p in 1 2 8; do \
+		echo "hammer: GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -race -count=3 -timeout 180s -run Hammer $(HAMMER_PKGS); \
+	done
 
 # flake hunts intermittent failures: FLAKE_COUNT (default 20) repetitions of
 # tier-1 and of the race package list above at each GOMAXPROCS in
@@ -250,7 +262,7 @@ obs-demo: build
 # profiler's live endpoints, the spin-then-park latch counters on
 # /metrics, and the admission throttle's queue order; plus
 # vet and the short tests of the nested bench module.
-verify: fmt vet build test allocs race check-bench smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle
+verify: fmt vet build test allocs race hammer check-bench smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -96,11 +96,8 @@ func (db *Database) Exec(ctx context.Context, tx *txn.Txn, s Stmt) (rowLocking b
 	}
 	for _, row := range s.Rows {
 		db.TouchRow(s.Table, row)
-		if err := tx.LockRow(ctx, s.Table.ID, row, s.mode()); err != nil {
-			return true, err
-		}
 	}
-	return true, nil
+	return true, tx.LockRows(ctx, s.Table.ID, s.Rows, s.mode())
 }
 
 // touchSpan simulates the page accesses of a table-granularity plan.

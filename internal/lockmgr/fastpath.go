@@ -428,10 +428,11 @@ func (m *Manager) quotaFastCached(app *App, weight int) bool {
 	return float64(app.structs.Load()+int64(weight)) <= limit
 }
 
-// grantedSingleton is the pre-completed Pending returned by owner-local
-// re-acquire cache hits: the grant is decided before any shared state is
-// touched, so all hits share one terminal Pending (Status/Done are safe on
-// a completed Pending from any number of goroutines).
+// grantedSingleton is the pre-completed Pending every latch-free grant
+// returns (a cache hit or a grant-word admission): the grant is decided
+// before the caller sees it, so all share one terminal Pending
+// (Status/Done are safe on a completed Pending from any number of
+// goroutines), and a caller tells a grant from a denial by identity.
 var grantedSingleton = func() *Pending {
 	p := new(Pending)
 	p.complete(StatusGranted, nil)
@@ -443,8 +444,11 @@ var grantedSingleton = func() *Pending {
 // already holds a covering lock — the re-entrant table-intent hits TPC-C
 // generates), then through a CAS on the home header's grant word. It
 // returns the completed Pending on success and nil when the request must
-// take the latched path. It mutates nothing when it returns nil.
-func (m *Manager) tryFastAcquire(o *Owner, name Name, mode Mode, weight int, hash uint64, si int, recyclable, sampled bool) *Pending {
+// take the latched path; installed reports a grant-word admission, which
+// installed a request a release can undo (a cache hit installs nothing).
+// It mutates nothing when it returns nil. The caller counts a grant in
+// fastHits.
+func (m *Manager) tryFastAcquire(o *Owner, name Name, mode Mode, weight int, hash uint64, si int, recyclable, sampled bool) (p *Pending, installed bool) {
 	s := &m.shards[si]
 	// Gate entry before any state is read (Dekker pairing with runGlobal:
 	// either we see the raised gate here, or runGlobal's drain waits for
@@ -452,58 +456,48 @@ func (m *Manager) tryFastAcquire(o *Owner, name Name, mode Mode, weight int, has
 	s.fastOps.Add(1)
 	if m.fastGate.Load() != 0 {
 		s.fastOps.Add(-1)
-		return nil
+		return nil, false
 	}
-	p := m.fastAcquireGated(o, name, mode, weight, hash, si, s, recyclable, sampled)
+	p, installed = m.fastAcquireGated(o, name, mode, weight, hash, si, s, recyclable, sampled)
 	s.fastOps.Add(-1)
-	return p
+	return p, installed
 }
 
-func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, hash uint64, si int, s *shard, recyclable, sampled bool) *Pending {
+func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, hash uint64, si int, s *shard, recyclable, sampled bool) (*Pending, bool) {
 	o.mu.Lock()
 	if o.released {
 		o.mu.Unlock()
 		p := new(Pending)
 		p.complete(StatusDenied, fmt.Errorf("lockmgr: owner %d already released", o.id))
-		return p
+		return p, false
 	}
 	// Owner-local re-acquire cache: the owner already holds this very lock
 	// at a mode at least as strong, or a table lock covering the row. Both
 	// checks read only owner-mu-guarded state; a hit touches no shared
 	// structure at all.
-	if cur, ok := o.heldGet(hash, name); ok {
-		if cur.granted && !cur.converting && Supremum(cur.mode, mode) == cur.mode {
+	if cur, covered := o.heldCover(name, hash, mode); cur != nil || covered {
+		if !covered || cur != nil && cur.converting {
 			o.mu.Unlock()
-			m.stats.grants.Add(1)
-			m.fastHits.Shard(si).Inc()
-			return grantedSingleton
+			return nil, false // conversion (or in-flight state): latched path
 		}
 		o.mu.Unlock()
-		return nil // conversion (or in-flight state): latched path
-	}
-	if name.Gran == GranRow {
-		if ot := o.tableFor(name.Table); ot != nil && ot.tableReq != nil &&
-			ot.tableReq.granted && !ot.tableReq.converting && covers(ot.tableReq.mode, mode) {
-			o.mu.Unlock()
-			m.stats.grants.Add(1)
-			m.fastHits.Shard(si).Inc()
-			return grantedSingleton
-		}
+		m.stats.grants.Add(1)
+		return grantedSingleton, false
 	}
 
 	// Grant-word CAS admission.
 	h := s.fastLookup(hash, name)
 	if h == nil {
 		o.mu.Unlock()
-		return nil // name not published (yet); latched path
+		return nil, false // name not published (yet); latched path
 	}
 	if !m.quotaFastCached(o.app, weight) {
 		o.mu.Unlock()
-		return nil
+		return nil, false
 	}
 	if !s.takeFastCredit(int64(weight)) {
 		o.mu.Unlock()
-		return nil // dry credit; the latched fallback refills it
+		return nil, false // dry credit; the latched fallback refills it
 	}
 	var nw uint64
 	acquired := false
@@ -529,7 +523,7 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 	if !acquired {
 		s.fastFree.Add(int64(weight))
 		o.mu.Unlock()
-		return nil
+		return nil, false
 	}
 
 	// CAS succeeded: we hold lk (exclusive ownership of the header's
@@ -582,8 +576,7 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 	m.chain.ConsumeReserved(weight)
 	o.app.structs.Add(int64(weight))
 	m.stats.grants.Add(1)
-	m.fastHits.Shard(si).Inc()
-	return grantedSingleton
+	return grantedSingleton, true
 }
 
 // tryFastRelease is the symmetric CAS decrement for a fast-path grant: it

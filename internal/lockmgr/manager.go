@@ -488,6 +488,11 @@ type Owner struct {
 	walkBatch releaseBatch
 	drain     releaseDrain
 
+	// Statement-batch scratch (batch.go), reused across this owner's
+	// AcquireRows calls so a batch allocates nothing in steady state.
+	// Touched only by the owner's goroutine.
+	rows rowBatch
+
 	// Registry list links, guarded by Manager.ownersMu.
 	regPrev, regNext *Owner
 }
@@ -1529,7 +1534,10 @@ func (m *Manager) acquireAsync(o *Owner, name Name, mode Mode, weight int, recyc
 	// nothing; the request proceeds on the latched path below, which is
 	// byte-for-byte the pre-fast-path pipeline plus a credit refill.
 	if fastEligible(mode) {
-		if p := m.tryFastAcquire(o, name, mode, weight, hash, si, recyclable, sampled); p != nil {
+		if p, _ := m.tryFastAcquire(o, name, mode, weight, hash, si, recyclable, sampled); p != nil {
+			if p == grantedSingleton {
+				m.fastHits.Shard(si).Inc()
+			}
 			if sampled {
 				m.admitHist.RecordStripe(si, time.Since(admit0).Nanoseconds())
 			}
@@ -1611,7 +1619,19 @@ func (m *Manager) acquireAsync(o *Owner, name Name, mode Mode, weight int, recyc
 // cancellation. On cancellation the request is withdrawn. A wait parks on
 // the owner's wake channel, so it allocates nothing.
 func (m *Manager) Acquire(ctx context.Context, o *Owner, name Name, mode Mode, weight int) error {
-	p := m.acquireAsync(o, name, mode, weight, true)
+	_, err := m.acquire(ctx, o, name, mode, weight)
+	return err
+}
+
+// acquire is Acquire that also reports whether the request waited.
+func (m *Manager) acquire(ctx context.Context, o *Owner, name Name, mode Mode, weight int) (waited bool, err error) {
+	return m.await(ctx, o, name, m.acquireAsync(o, name, mode, weight, true))
+}
+
+// await blocks until p, the Pending of o's request for name admitted on
+// the blocking path, completes or ctx ends; on cancellation the request is
+// withdrawn. It reports whether the request waited, and its error.
+func (m *Manager) await(ctx context.Context, o *Owner, name Name, p *Pending) (waited bool, err error) {
 	if p.armed {
 		select {
 		case <-o.wake:
@@ -1621,8 +1641,8 @@ func (m *Manager) Acquire(ctx context.Context, o *Owner, name Name, mode Mode, w
 			<-o.wake
 		}
 	}
-	_, err := p.Status()
-	return err
+	_, err = p.Status()
+	return p.armed, err
 }
 
 // startRequest runs the admission pipeline for a new or parked request:
@@ -1657,29 +1677,18 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 	// correctness.
 	o.markTouched(si)
 
-	// Coverage: a table lock the owner already holds may subsume a row
-	// request (notably right after this owner escalated). The table lock
-	// may live in another shard; its owner-visible fields are stable
-	// under o.mu.
-	if name.Gran == GranRow {
-		if ot := o.tableFor(name.Table); ot != nil && ot.tableReq != nil && ot.tableReq.granted &&
-			!ot.tableReq.converting && covers(ot.tableReq.mode, req.mode) {
-			o.mu.Unlock()
-			m.grant(req)
-			return true
-		}
+	cur, covered := o.heldCover(name, req.hash, req.mode)
+	if covered {
+		o.mu.Unlock()
+		m.grant(req) // nothing to acquire
+		return true
 	}
-	cur, isHeld := o.heldGet(req.hash, name)
 
 	// Conversion: the owner already holds this lock. cur is homed in this
 	// very shard, so its queue state is stable under the latch we hold.
-	if isHeld && cur.granted {
+	if cur != nil {
 		o.mu.Unlock()
 		target := Supremum(cur.mode, req.mode)
-		if target == cur.mode {
-			m.grant(req) // already strong enough; nothing to do
-			return true
-		}
 		if cur.converting {
 			// One conversion at a time per lock keeps the protocol
 			// simple; a second upgrade while one is in flight is a
@@ -1717,36 +1726,75 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 	// latched shard's lease pool, so o.mu stays held straight through the
 	// grant — one critical section instead of two. On any obstacle, back
 	// out with nothing mutated and let the caller go global.
-	app := o.app
-	if m.overQuotaFast(app, req.weight) {
-		o.mu.Unlock()
-		return false // quota growth/escalation needs all latches
-	}
-	hdl, ok := s.pool.Alloc(req.weight)
+	hdl, ok := m.allocLocal(s, o.app, req.weight)
 	if !ok {
-		// The shard lease could not be refilled: free structures may be
-		// stranded in other shards' pools, or memory is genuinely
-		// exhausted. Either way the global path decides (flush, grow,
-		// escalate).
 		o.mu.Unlock()
 		return false
 	}
 	req.handle = hdl
-	app.structs.Add(int64(req.weight))
 	h := s.headerFor(req.hash, name)
-	// Sealing under o.mu is deadlock-free: fast-path operations always take
-	// o.mu *before* spinning for the word lock, and a word-lock holder never
-	// blocks, so this spin terminates (see fastpath.go, "Lock ordering").
-	m.sealFast(h)
-	if len(h.converters) == 0 && len(h.waiters) == 0 && Compatible(req.mode, h.groupMode) {
-		m.installGrantedLocked(h, req)
-		m.settleFast(s, h)
+	if m.grantLocal(s, h, req) {
 		o.mu.Unlock()
 		m.grant(req)
 		return true
 	}
 	o.mu.Unlock()
 	m.enqueueWaiter(s, si, h, req)
+	return true
+}
+
+// heldCover answers a request for name in mode from the owner's held
+// locks alone: covered when nothing needs acquiring (the owner holds name
+// at least as strongly, or holds a table lock subsuming the row — notably
+// right after it escalated), and cur, the owner's granted request for
+// name, whenever it holds name at all; cur != nil with covered false is a
+// conversion. A covering table lock may live in another shard; its
+// owner-visible fields are stable under o.mu, which the caller holds.
+func (o *Owner) heldCover(name Name, hash uint64, mode Mode) (cur *request, covered bool) {
+	if name.Gran == GranRow {
+		if ot := o.tableFor(name.Table); ot != nil && ot.tableReq != nil && ot.tableReq.granted &&
+			!ot.tableReq.converting && covers(ot.tableReq.mode, mode) {
+			return nil, true
+		}
+	}
+	if cur, ok := o.heldGet(hash, name); ok && cur.granted {
+		return cur, Supremum(cur.mode, mode) == cur.mode
+	}
+	return nil, false
+}
+
+// allocLocal is single-latch admission's quota check and allocation:
+// weight structures from s's lease pool, charged to app. It reports false,
+// having mutated nothing, when the global pipeline must decide instead:
+// the app is over its cached quota (growth or escalation needs every
+// latch), or the shard lease could not be refilled (free structures may be
+// stranded in other shards' pools, or memory is genuinely exhausted).
+// Caller holds s's latch.
+func (m *Manager) allocLocal(s *shard, app *App, weight int) (memblock.Handle, bool) {
+	if m.overQuotaFast(app, weight) {
+		return memblock.Handle{}, false
+	}
+	hdl, ok := s.pool.Alloc(weight)
+	if ok {
+		app.structs.Add(int64(weight))
+	}
+	return hdl, ok
+}
+
+// grantLocal seals h and, when nothing queues on it and req is compatible
+// with its granted group, installs req as a holder and settles h. On false
+// h stays sealed: the caller queues req on it or backs out. Sealing under
+// o.mu is deadlock-free: fast-path operations always take o.mu *before*
+// spinning for the word lock, and a word-lock holder never blocks, so the
+// spin terminates (see fastpath.go, "Lock ordering"). Caller holds s's
+// latch and req.owner.mu.
+func (m *Manager) grantLocal(s *shard, h *lockHeader, req *request) bool {
+	m.sealFast(h)
+	if len(h.converters) != 0 || len(h.waiters) != 0 || !Compatible(req.mode, h.groupMode) {
+		return false
+	}
+	m.installGrantedLocked(h, req)
+	m.settleFast(s, h)
 	return true
 }
 
@@ -2029,20 +2077,33 @@ func (s *shard) header(hash uint64, name Name) *lockHeader {
 // headerFor returns (creating if necessary) the lock table entry for name,
 // recycling headers from the shard's freelist. Caller holds the shard latch.
 func (s *shard) headerFor(hash uint64, name Name) *lockHeader {
-	h := s.header(hash, name)
-	if h == nil {
-		if n := len(s.hfree); n > 0 {
-			h = s.hfree[n-1]
-			s.hfree[n-1] = nil
-			s.hfree = s.hfree[:n-1]
-		} else {
-			h = &lockHeader{}
-		}
-		h.name = name
-		s.table.Insert(hash, h)
+	h, added := s.headerForDeferred(hash, name)
+	if added {
 		s.syncTableMirror()
 	}
 	return h
+}
+
+// headerForDeferred is headerFor without the latch-free mirror update,
+// reporting whether it added the header: a batch visit adds several
+// headers and syncs the mirror once, as the release visit does for its
+// evictions. Caller holds the shard latch and must sync the mirror before
+// releasing it.
+func (s *shard) headerForDeferred(hash uint64, name Name) (*lockHeader, bool) {
+	if h := s.header(hash, name); h != nil {
+		return h, false
+	}
+	var h *lockHeader
+	if n := len(s.hfree); n > 0 {
+		h = s.hfree[n-1]
+		s.hfree[n-1] = nil
+		s.hfree = s.hfree[:n-1]
+	} else {
+		h = &lockHeader{}
+	}
+	h.name = name
+	s.table.Insert(hash, h)
+	return h, true
 }
 
 // installGranted records req as a granted holder of h. Caller holds the
@@ -2598,6 +2659,9 @@ func (o *Owner) resetForReuse() {
 	}
 	if cap(o.drain.hdrs) > heldKeepSlots {
 		o.drain.hdrs = nil
+	}
+	if b := &o.rows; cap(b.ents) > heldKeepSlots || len(b.spare) > heldKeepSlots {
+		*b = rowBatch{}
 	}
 }
 

@@ -119,9 +119,19 @@ func (h *HotSketch[K]) Observe(stripe int, key K, scoreDelta int64, metric int, 
 		return
 	}
 	st := &h.stripes[uint64(stripe)&h.mask]
-	if scoreDelta != 0 {
-		st.observed.Add(scoreDelta)
+	if scoreDelta == 0 {
+		// Attribute-only: no takeover can follow, so look for the key and
+		// track no minimum. The lock table sends one of these per latched
+		// admission.
+		for i := range st.slots {
+			if e := st.slots[i].Load(); e != nil && e.key == key {
+				e.addVal(metric, delta)
+				return
+			}
+		}
+		return
 	}
+	st.observed.Add(scoreDelta)
 	for attempt := 0; attempt < 4; attempt++ {
 		var (
 			minE     *hotEntry[K]
@@ -139,19 +149,12 @@ func (h *HotSketch[K]) Observe(stripe int, key K, scoreDelta int64, metric int, 
 			}
 			if e.key == key {
 				e.score.Add(scoreDelta)
-				if metric == HotQueueMax {
-					storeMax(&e.vals[metric], delta)
-				} else {
-					e.vals[metric].Add(delta)
-				}
+				e.addVal(metric, delta)
 				return
 			}
 			if s := e.score.Load(); s < minScore {
 				minScore, minSlot, minE = s, i, e
 			}
-		}
-		if scoreDelta == 0 {
-			return
 		}
 		ne := &hotEntry[K]{key: key}
 		ne.vals[metric].Store(delta)
@@ -169,6 +172,16 @@ func (h *HotSketch[K]) Observe(stripe int, key K, scoreDelta int64, metric int, 
 		if st.slots[minSlot].CompareAndSwap(minE, ne) {
 			return
 		}
+	}
+}
+
+// addVal applies delta to the entry's metric attribute: by max for
+// HotQueueMax, by sum otherwise.
+func (e *hotEntry[K]) addVal(metric int, delta int64) {
+	if metric == HotQueueMax {
+		storeMax(&e.vals[metric], delta)
+	} else {
+		e.vals[metric].Add(delta)
 	}
 }
 

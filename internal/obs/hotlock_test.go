@@ -100,6 +100,54 @@ func TestHotSketchZeroScoreRideAlong(t *testing.T) {
 	}
 }
 
+// TestHotSketchZeroScoreTouchesOnlyItsAttribute fills a stripe, then makes
+// zero-score observations: one of an untracked key must leave every slot
+// and counter as it was (no takeover of the minimum), one of a tracked key
+// must bump that key's attribute and nothing else.
+func TestHotSketchZeroScoreTouchesOnlyItsAttribute(t *testing.T) {
+	h := NewHotSketch[string](1, 3)
+	h.Observe(0, "a", 300, HotWaitNs, 300)
+	h.Observe(0, "b", 100, HotWaitNs, 100)
+	h.Observe(0, "c", 200, HotQueueMax, 4)
+	slots := func() (ps []*hotEntry[string]) {
+		for i := range h.stripes[0].slots {
+			ps = append(ps, h.stripes[0].slots[i].Load())
+		}
+		return ps
+	}
+	byKey := func() map[string]HotEntry[string] {
+		out := make(map[string]HotEntry[string])
+		for _, e := range h.Entries() {
+			out[e.Key] = e
+		}
+		return out
+	}
+	slots0, before := slots(), byKey()
+
+	h.Observe(0, "cold", 0, HotFallbacks, 1)
+	for i, p := range slots() {
+		if p != slots0[i] {
+			t.Fatalf("untracked zero-score observation replaced slot %d", i)
+		}
+	}
+	if got := byKey(); len(got) != 3 || got["a"] != before["a"] || got["b"] != before["b"] || got["c"] != before["c"] {
+		t.Fatalf("untracked zero-score observation changed entries: %v, was %v", got, before)
+	}
+	if got := h.StripeObserved(0); got != 600 {
+		t.Fatalf("observed = %d after a zero-score observation, want 600", got)
+	}
+
+	h.Observe(0, "b", 0, HotFallbacks, 2)
+	h.Observe(0, "c", 0, HotQueueMax, 9)
+	got := byKey()
+	wantB, wantC := before["b"], before["c"]
+	wantB.Vals[HotFallbacks] += 2
+	wantC.Vals[HotQueueMax] = 9
+	if got["a"] != before["a"] || got["b"] != wantB || got["c"] != wantC {
+		t.Fatalf("tracked zero-score observations: got %v, want a %v, b %v, c %v", got, before["a"], wantB, wantC)
+	}
+}
+
 func TestHotSketchQueueMaxAndDecay(t *testing.T) {
 	h := NewHotSketch[string](1, 2)
 	h.Observe(0, "k", 1000, HotQueueMax, 7)

@@ -1,11 +1,13 @@
 // Package txn implements strict two-phase-locking transactions over the
-// lock manager. A transaction acquires a table intent lock before each row
-// lock (the multigranularity protocol escalation relies on) and releases
-// everything at commit or abort.
+// lock manager. A transaction holds a table's intent lock before it locks
+// any of the table's rows (the multigranularity protocol escalation relies
+// on) and releases everything at commit or abort.
 //
 // Two acquisition styles are provided:
 //
-//   - Lock / LockRow: blocking calls for goroutine-per-connection use;
+//   - LockTable / LockRow / LockRows / LockRange: blocking calls for
+//     goroutine-per-connection use; LockRows takes one statement's rows
+//     as a batch behind a single intent request;
 //   - AcquireRow / AcquireTable returning an *Op that a discrete simulation
 //     polls each tick, so thousands of clients can run deterministically on
 //     one goroutine.
@@ -156,9 +158,10 @@ func (t *Txn) LockTable(ctx context.Context, table storage.TableID, mode lockmgr
 	return t.mgr.locks.Acquire(ctx, t.owner, lockmgr.TableName(uint32(table)), mode, 1)
 }
 
-// LockRow blocks until the row lock (and its table intent lock) is held.
-// Under CursorStability an S lock releases the previous cursor position;
-// under UncommittedRead S reads take only the table intent lock.
+// LockRow blocks until the row lock (and its table intent lock) is held:
+// it requests the intent lock, then the row lock. Under CursorStability an
+// S lock releases the previous cursor position; under UncommittedRead S
+// reads take only the table intent lock.
 func (t *Txn) LockRow(ctx context.Context, table storage.TableID, row uint64, mode lockmgr.Mode) error {
 	if t.state != StateActive {
 		return ErrNotActive
@@ -190,6 +193,35 @@ func (t *Txn) LockRow(ctx context.Context, table storage.TableID, row uint64, mo
 		t.noteRead(table, row)
 	}
 	return nil
+}
+
+// LockRows blocks until every row lock of one statement, and the table
+// intent lock, is held. Under RepeatableRead and ReadStability it requests
+// the intent lock once and admits the rows as one lockmgr.AcquireRows
+// batch, which holds them in rows' order just as a LockRow per row would;
+// the other isolation levels run LockRow per row. On error the rows before
+// the failing one stay held.
+func (t *Txn) LockRows(ctx context.Context, table storage.TableID, rows []uint64, mode lockmgr.Mode) error {
+	if t.state != StateActive {
+		return ErrNotActive
+	}
+	if t.isolation != RepeatableRead && t.isolation != ReadStability {
+		for _, row := range rows {
+			if err := t.LockRow(ctx, table, row, mode); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if len(rows) == 0 {
+		return nil
+	}
+	if err := t.mgr.locks.Acquire(ctx, t.owner, lockmgr.TableName(uint32(table)), lockmgr.IntentFor(mode), 1); err != nil {
+		return fmt.Errorf("txn: intent lock: %w", err)
+	}
+	n, err := t.mgr.locks.AcquireRows(ctx, t.owner, uint32(table), rows, mode)
+	t.rowsLocked += int64(n)
+	return err
 }
 
 // OpState is the state of a polled lock operation.

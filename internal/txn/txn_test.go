@@ -233,3 +233,86 @@ func TestAcquireTableBlocksAndResolves(t *testing.T) {
 	}
 	tx.Commit()
 }
+
+// admissions is the lock manager's admission funnel total.
+func admissions(lm *lockmgr.Manager) int64 {
+	return lm.FastPathHits() + lm.FastPathFallbacks() + lm.OptimisticHits()
+}
+
+// TestLockRowsBatchesUnderRR: under repeatable read a statement's rows
+// cost one intent request and one admission per row (LockRow per row would
+// make two per row), duplicates included, and every row is held.
+func TestLockRowsBatchesUnderRR(t *testing.T) {
+	m, lm := newManagers()
+	tx := m.Begin(lm.RegisterApp())
+	rows := []uint64{7, 3, 7, 12}
+	a0 := admissions(lm)
+	if err := tx.LockRows(context.Background(), 1, rows, lockmgr.ModeX); err != nil {
+		t.Fatal(err)
+	}
+	if got := admissions(lm) - a0; got != 1+int64(len(rows)) {
+		t.Fatalf("%d admissions for a %d-row statement, want %d", got, len(rows), 1+len(rows))
+	}
+	if tx.RowsLocked() != int64(len(rows)) {
+		t.Fatalf("rows locked = %d, want %d", tx.RowsLocked(), len(rows))
+	}
+	if got := lm.UsedStructs(); got != 4 { // intent + three distinct rows
+		t.Fatalf("structs = %d, want 4", got)
+	}
+	for _, r := range rows {
+		if got := lm.HeldMode(tx.Owner(), lockmgr.RowName(1, r)); got != lockmgr.ModeX {
+			t.Fatalf("row %d held in %v, want X", r, got)
+		}
+	}
+	tx.Commit()
+	if err := tx.LockRows(context.Background(), 1, rows, lockmgr.ModeX); !errors.Is(err, ErrNotActive) {
+		t.Fatalf("LockRows after commit: %v, want ErrNotActive", err)
+	}
+	if got := lm.UsedStructs(); got != 0 {
+		t.Fatalf("leak: %d", got)
+	}
+}
+
+// TestLockRowsKeepsPerRowDisciplines: cursor stability, uncommitted read
+// and read-only keep LockRow's per-row behaviour under LockRows.
+func TestLockRowsKeepsPerRowDisciplines(t *testing.T) {
+	ctx := context.Background()
+	m, lm := newManagers()
+	rows := []uint64{1, 2, 3, 4}
+
+	cs := m.Begin(lm.RegisterApp())
+	if err := cs.SetIsolation(CursorStability); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.LockRows(ctx, 1, rows, lockmgr.ModeS); err != nil {
+		t.Fatal(err)
+	}
+	if got := lm.UsedStructs(); got != 2 { // intent + current cursor
+		t.Fatalf("CS: structs = %d, want 2", got)
+	}
+	cs.Commit()
+
+	ur := m.Begin(lm.RegisterApp())
+	if err := ur.SetIsolation(UncommittedRead); err != nil {
+		t.Fatal(err)
+	}
+	if err := ur.LockRows(ctx, 1, rows, lockmgr.ModeS); err != nil {
+		t.Fatal(err)
+	}
+	if got := lm.UsedStructs(); got != 1 { // intent only
+		t.Fatalf("UR: structs = %d, want 1", got)
+	}
+	ur.Commit()
+
+	ro := m.Begin(lm.RegisterApp())
+	if err := ro.SetIsolation(ReadOnly); err != nil {
+		t.Fatal(err)
+	}
+	if err := ro.LockRows(ctx, 1, rows, lockmgr.ModeX); !errors.Is(err, ErrReadOnlyWrite) {
+		t.Fatalf("RO write: %v, want ErrReadOnlyWrite", err)
+	}
+	ro.Abort()
+	if got := lm.UsedStructs(); got != 0 {
+		t.Fatalf("leak: %d", got)
+	}
+}
