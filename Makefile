@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test allocs race hammer flake check-bench bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
+.PHONY: all build test allocs race hammer flake ci check-bench bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
 
 all: build
 
@@ -61,6 +61,12 @@ flake:
 			{ cat $$log; echo "flake: race failed at GOMAXPROCS=$$p run $$i"; exit 1; }; \
 	done; done; \
 	echo "flake: $(FLAKE_COUNT) runs at each GOMAXPROCS in $(FLAKE_PROCS) passed"
+
+# ci is the full gate: verify, then flake at FLAKE_COUNT=3 (three
+# repetitions of tier-1 and the race list at each GOMAXPROCS in
+# FLAKE_PROCS). About 20 minutes on 2 cores, so it stays outside verify.
+ci: verify
+	$(MAKE) flake FLAKE_COUNT=3
 
 # check-bench compiles, vets and runs the short tests of bench/, a nested
 # module that go build ./... and go test ./... do not see: it reaches into

@@ -237,19 +237,16 @@ func (db *Database) WriteMetrics(m *obs.MetricWriter) {
 		blame := make(map[string]float64, len(hot))
 		wait := make(map[string]float64, len(hot))
 		qmax := make(map[string]float64, len(hot))
-		fb := make(map[string]float64, len(hot))
 		opt := make(map[string]float64, len(hot))
 		for _, hl := range hot {
 			blame[hl.Name] = float64(hl.BlameNs) * 1e-9
 			wait[hl.Name] = float64(hl.WaitNs) * 1e-9
 			qmax[hl.Name] = float64(hl.QueueDepthMax)
-			fb[hl.Name] = float64(hl.Fallbacks)
 			opt[hl.Name] = float64(hl.OptFailures)
 		}
 		m.GaugeMap("lockmem_hotlock_blame_seconds", "decayed contention blame of the top-K hot locks", "lock", blame)
 		m.GaugeMap("lockmem_hotlock_wait_seconds", "attributed wait time of the top-K hot locks", "lock", wait)
 		m.GaugeMap("lockmem_hotlock_queue_depth_max", "queue-depth high-water of the top-K hot locks", "lock", qmax)
-		m.GaugeMap("lockmem_hotlock_fallbacks", "fast-path fallbacks attributed to the top-K hot locks", "lock", fb)
 		m.GaugeMap("lockmem_hotlock_optimistic_failures", "optimistic validation failures attributed to the top-K hot locks", "lock", opt)
 	}
 	if lp := db.locks.LatchProfile(); lp != nil {

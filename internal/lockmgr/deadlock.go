@@ -132,28 +132,18 @@ func (m *Manager) liveEdge(e waitEdge) bool {
 		m.stillWaiting(e.via) && m.blocksOn(e.via, e.to) && e.to.id == e.toID
 }
 
-// DetectDeadlocks finds wait-for cycles and denies one victim per cycle —
-// the youngest owner (largest id), whose rollback is presumed cheapest. It
-// returns the number of waiting requests denied. Steady-state cost is one
-// latch per shard, held briefly and one at a time; the all-shard latch is
-// never taken (GlobalRuns does not advance).
-func (m *Manager) DetectDeadlocks() int {
-	// Phase 1: export each shard's edges under its own latch. Shards whose
-	// published nWaiting mirror reads zero are skipped without latching —
-	// a shard with no waiters contributes no edges, and the mirror's
-	// fuzziness is the same fuzziness the per-shard export already has
-	// (phase 3 re-validates everything). An idle lock table detects with
-	// zero latch acquisitions.
-	var raw []waitEdge
+// walkWaitEdges is the per-shard edge walk DetectDeadlocks' phase 1 and
+// DumpWaiters share: for every waiting request that holds a queue
+// position it calls f with the request and its blockers (waitEdges), one
+// shard latch at a time. Shards whose published nWaiting mirror reads zero
+// are skipped without latching — a shard with no waiters contributes no
+// edges, and the mirror's fuzziness is the same fuzziness the per-shard
+// walk already has. Each waiter queue is walked from its head by index,
+// so a waiter's predecessor is found without a search, and the blockers
+// go into one scratch slice reused across calls: f must copy what it
+// keeps. f runs under shard si's latch.
+func (m *Manager) walkWaitEdges(f func(req *request, si int, blockers []*Owner)) {
 	var buf []*Owner
-	export := func(req *request, si, j int) {
-		from := req.owner
-		raw = append(raw, waitEdge{from: from, fromID: from.id, via: req, si: si})
-		buf = m.appendWaitEdges(buf[:0], req, j)
-		for _, to := range buf {
-			raw = append(raw, waitEdge{from: from, to: to, fromID: from.id, toID: to.id, via: req, si: si})
-		}
-	}
 	for i := range m.shards {
 		if m.shards[i].nWaiting.Load() == 0 {
 			continue
@@ -165,17 +155,45 @@ func (m *Manager) DetectDeadlocks() int {
 				// Parked requests hold no queue position and export no
 				// wait-graph edges.
 			case req.converting:
-				export(req, i, -1)
+				buf = m.appendWaitEdges(buf[:0], req, -1)
+				f(req, i, buf)
 			case req.header.waiters[0] == req:
-				// The queue head exports its whole waiter queue, so each
-				// waiter's predecessor is found by index, not by search.
+				// The queue head exports its whole waiter queue.
 				for j, w := range req.header.waiters {
-					export(w, i, j)
+					buf = m.appendWaitEdges(buf[:0], w, j)
+					f(w, i, buf)
 				}
 			}
 		}
 		m.unlockShard(s)
 	}
+}
+
+// exportWaitEdges is DetectDeadlocks' phase 1: every waiting request's
+// out-edges, plus one record with to unset per waiting request, read one
+// shard latch at a time (walkWaitEdges).
+func (m *Manager) exportWaitEdges() []waitEdge {
+	var raw []waitEdge
+	m.walkWaitEdges(func(req *request, si int, blockers []*Owner) {
+		from := req.owner
+		raw = append(raw, waitEdge{from: from, fromID: from.id, via: req, si: si})
+		for _, to := range blockers {
+			raw = append(raw, waitEdge{from: from, to: to, fromID: from.id, toID: to.id, via: req, si: si})
+		}
+	})
+	return raw
+}
+
+// DetectDeadlocks finds wait-for cycles and denies one victim per cycle —
+// the youngest owner (largest id), whose rollback is presumed cheapest. It
+// returns the number of waiting requests denied. Steady-state cost is one
+// latch per shard, held briefly and one at a time; the all-shard latch is
+// never taken (GlobalRuns does not advance).
+func (m *Manager) DetectDeadlocks() int {
+	// Phase 1: export each shard's edges under its own latch. The snapshot
+	// is fuzzy across shards; phase 3 re-validates everything. An idle
+	// lock table detects with zero latch acquisitions.
+	raw := m.exportWaitEdges()
 
 	// Phase 2: latch-free DFS over the snapshot graph, collecting each
 	// cycle as an explicit edge list.

@@ -201,14 +201,14 @@ func (m *Manager) retryParked(parked *request) {
 		m.unlockShard(s)
 		return
 	}
-	ok := m.startRequest(s, si, parked, false)
+	ok := m.startRequest(s, si, parked, nil, false)
 	m.unlockShard(s)
 	if !ok {
 		// runGlobal survivor: same admission-of-last-resort rationale as
 		// AcquireAsync — the retry may itself need quota growth or a
 		// further escalation, which require every latch.
 		m.runGlobal(func() {
-			if !m.startRequest(s, si, parked, true) {
+			if !m.startRequest(s, si, parked, nil, true) {
 				panic("lockmgr: global retry deferred admission")
 			}
 		})

@@ -2,6 +2,7 @@ package lockmgr
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -143,6 +144,10 @@ func (m *Manager) CheckInvariants() error {
 func (m *Manager) checkInvariantsLocked() error {
 	appStructs := make(map[int]int)
 	inWait := make(map[*Owner]int)
+	// Every queued or wait-listed request and every header in a shard
+	// table, across shards, for the owner-cache checks below.
+	waiting := make(map[*request]bool)
+	tabled := make(map[*lockHeader]bool)
 	for i := range m.shards {
 		s := &m.shards[i]
 		// The latch-free observation mirrors must agree exactly with the
@@ -175,6 +180,7 @@ func (m *Manager) checkInvariantsLocked() error {
 			return true
 		})
 		for _, h := range hdrs {
+			tabled[h] = true
 			name := h.name
 			// Filed under the hash its name has today: a lookup reaches it.
 			if s.header(hashName(name), name) != h {
@@ -269,6 +275,7 @@ func (m *Manager) checkInvariantsLocked() error {
 			// on exactly one queue of its own header, and — queue
 			// soundness — the head waiter is genuinely blocked.
 			for _, c := range h.converters {
+				waiting[c] = true
 				if !c.inWaitList || c.header != h || queued[c] {
 					return fmt.Errorf("lockmgr: %v converter not queued once in the waiting set", name)
 				}
@@ -278,6 +285,7 @@ func (m *Manager) checkInvariantsLocked() error {
 				queued[c] = true
 			}
 			for _, w := range h.waiters {
+				waiting[w] = true
 				if !w.inWaitList || w.header != h || queued[w] || w.converting {
 					return fmt.Errorf("lockmgr: %v waiter not queued once in the waiting set", name)
 				}
@@ -298,6 +306,7 @@ func (m *Manager) checkInvariantsLocked() error {
 		// shard's touched bit set — the bit is set before the request can
 		// reach any queue, and never cleared.
 		for req := s.waitHead; req != nil; req = req.wnext {
+			waiting[req] = true
 			inWait[req.owner]++
 			if req.parked == queued[req] {
 				return fmt.Errorf("lockmgr: shard %d waiting request on %v parked=%v queued=%v",
@@ -353,40 +362,24 @@ func (m *Manager) checkInvariantsLocked() error {
 		return fmt.Errorf("lockmgr: %d owners pooled with a wake signal pending", n)
 	}
 
-	// Owner indexes agree with the lock table. ownersMu is held across the
-	// whole pass, not just a list snapshot: a deregistered owner's
-	// teardown (dropRef → resetForReuse, and pool reuse by NewOwner)
-	// wipes the indexes latch-free, and deregistration itself needs
-	// ownersMu — so pinning ownersMu keeps every visited owner alive and
-	// un-recycled for the duration. Lock order is shard latches → ownersMu
-	// → o.mu; both tails are leaves (no path takes ownersMu or a shard
-	// latch while holding o.mu, and none takes a latch under ownersMu).
+	// Owner indexes agree with the lock table. Each app's mu is held
+	// across the walk of its owners, not just a list snapshot: a
+	// deregistered owner's teardown (dropRef → resetForReuse, and pool
+	// reuse by NewOwner) wipes the indexes latch-free, and deregistration
+	// itself needs the app's mu — so holding it keeps every visited owner
+	// alive and un-recycled for the duration. ownersMu keeps the app set
+	// fixed. Lock order is shard latches → ownersMu → App.mu → o.mu; the
+	// tails are leaves (no path takes ownersMu, an App.mu or a shard latch
+	// while holding o.mu, and none takes a latch under ownersMu or App.mu).
 	apps := make(map[int]*App)
 	ownerErr := func() error {
 		m.ownersMu.Lock()
 		defer m.ownersMu.Unlock()
 		for id, a := range m.apps {
 			apps[id] = a
-		}
-		for o := m.owners; o != nil; o = o.regNext {
-			// o.mu excludes a commit mid-collect (collectDetach mutates
-			// the held indexes under o.mu alone); every other mutation is
-			// under a shard latch, excluded by the stopped world.
-			o.mu.Lock()
-			if err := m.checkOwnerIndexes(o); err != nil {
-				o.mu.Unlock()
+			if err := m.checkAppOwners(a, inWait, waiting, tabled); err != nil {
 				return err
 			}
-			// The latch-free inWait gauge must equal the owner's waiting-set
-			// population exactly while every latch is held: increments happen
-			// before a request joins a waiting set (under its shard latch) and
-			// decrements after it leaves, so with the whole table stopped the
-			// two counts coincide.
-			if got, want := o.inWait.Load(), int32(inWait[o]); got != want {
-				o.mu.Unlock()
-				return fmt.Errorf("lockmgr: owner %d inWait gauge %d, waiting sets hold %d", o.id, got, want)
-			}
-			o.mu.Unlock()
 		}
 		return nil
 	}()
@@ -467,6 +460,48 @@ func (m *Manager) checkInvariantsLocked() error {
 			if lifetime := m.hot.StripeObserved(stripe); sum > lifetime {
 				return fmt.Errorf("lockmgr: hot sketch stripe %d scores sum to %d, only %d blame ever observed", stripe, sum, lifetime)
 			}
+		}
+	}
+	return nil
+}
+
+// checkAppOwners checks every registered owner of app a: its indexes
+// (checkOwnerIndexes), its inWait gauge against the waiting sets' count
+// inWait, and its cache — every cached box zeroed and, by identity, in no
+// waiting set or queue (waiting), every cached header unpublished, empty
+// and in no shard table (tabled). Caller holds every shard latch and
+// ownersMu.
+func (m *Manager) checkAppOwners(a *App, inWait map[*Owner]int, waiting map[*request]bool, tabled map[*lockHeader]bool) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for o := a.owners; o != nil; o = o.regNext {
+		// o.mu excludes a commit mid-collect (collectDetach mutates the
+		// held indexes under o.mu alone) and a fast-path admission popping
+		// the cache; every other mutation is under a shard latch, excluded
+		// by the stopped world.
+		o.mu.Lock()
+		err := m.checkOwnerIndexes(o)
+		// The latch-free inWait gauge must equal the owner's waiting-set
+		// population exactly while every latch is held: increments happen
+		// before a request joins a waiting set (under its shard latch) and
+		// decrements after it leaves, so with the whole table stopped the
+		// two counts coincide.
+		if got, want := o.inWait.Load(), int32(inWait[o]); err == nil && got != want {
+			err = fmt.Errorf("lockmgr: owner %d inWait gauge %d, waiting sets hold %d", o.id, got, want)
+		}
+		for _, b := range o.cache.boxes {
+			if err == nil && (!reflect.ValueOf(&b.req).Elem().IsZero() || b.pend.status.Load() != int32(StatusWaiting) || b.pend.wake != nil || waiting[&b.req]) {
+				err = fmt.Errorf("lockmgr: owner %d caches a box that is not zeroed or still waits", o.id)
+			}
+		}
+		for _, h := range o.cache.hdrs {
+			if err == nil && (h.published || tabled[h] || !h.empty() || h.word.Load() != 0) {
+				err = fmt.Errorf("lockmgr: owner %d caches header %v that is published, non-empty or in a shard table", o.id, h.name)
+			}
+		}
+		o.mu.Unlock()
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -37,9 +37,7 @@ const (
 	// hotEventBlameNs is the fixed blame (1 µs) charged per contention
 	// event that has no duration of its own: an enqueue or an
 	// optimistic-validation failure. It ranks "lots of cheap friction"
-	// against "few long waits" on one nanosecond scale. Fast-path
-	// fallbacks carry no blame — every latched acquisition is a fallback,
-	// so their counter rides along on already-tracked keys only.
+	// against "few long waits" on one nanosecond scale.
 	hotEventBlameNs = 1000
 	// flightRingCap is each shard's flight-recorder capacity (a power of
 	// two, so the ring's modulo compiles to a mask). 256 events of recent
@@ -220,11 +218,10 @@ type HotLock struct {
 	BlameNs int64 `json:"blame_ns"`
 	ErrNs   int64 `json:"err_ns"`
 	// WaitNs is cumulative attributed wait time; QueueDepthMax the
-	// queue-depth high-water mark; Fallbacks and OptFailures the
-	// fast-path fallback and optimistic-validation-failure counts.
+	// queue-depth high-water mark; OptFailures the
+	// optimistic-validation-failure count.
 	WaitNs        int64 `json:"wait_ns"`
 	QueueDepthMax int64 `json:"queue_depth_max"`
-	Fallbacks     int64 `json:"fallbacks"`
 	OptFailures   int64 `json:"optimistic_failures"`
 }
 
@@ -243,7 +240,6 @@ func (m *Manager) HotLocks(n int) []HotLock {
 			ErrNs:         e.Err,
 			WaitNs:        e.Vals[obs.HotWaitNs],
 			QueueDepthMax: e.Vals[obs.HotQueueMax],
-			Fallbacks:     e.Vals[obs.HotFallbacks],
 			OptFailures:   e.Vals[obs.HotOptFailures],
 		})
 	}
@@ -272,36 +268,27 @@ func (m *Manager) LatchProfile() *obs.LatchProf { return m.latchProf }
 // DumpWaiters exports the live wait-for edges as a blocked-on blame
 // report: who is blocked on which lock, held by whom, for how long —
 // convoys and the longest blocked-on chain included. It is the deadlock
-// detector's phase-1 walk pointed at a different consumer: one shard latch
-// at a time, idle shards skipped by their nWaiting mirror, GlobalRuns
-// unchanged. Like any per-shard snapshot the edge set is fuzzy across
-// shards; it is diagnostics, not a correctness surface.
+// detector's phase-1 walk (walkWaitEdges) pointed at a different consumer:
+// one shard latch at a time, idle shards skipped by their nWaiting mirror,
+// each queue walked once from its head, GlobalRuns unchanged. Like any
+// per-shard snapshot the edge set is fuzzy across shards; it is
+// diagnostics, not a correctness surface.
 func (m *Manager) DumpWaiters() obs.BlameReport {
 	now := m.clk.Now()
 	var edges []obs.BlameEdge
-	for i := range m.shards {
-		if m.shards[i].nWaiting.Load() == 0 {
-			continue
+	m.walkWaitEdges(func(req *request, _ int, blockers []*Owner) {
+		for _, to := range blockers {
+			edges = append(edges, obs.BlameEdge{
+				WaiterID:  req.owner.id,
+				WaiterApp: req.owner.app.id,
+				HolderID:  to.id,
+				HolderApp: to.app.id,
+				Lock:      req.name.String(),
+				Mode:      req.effectiveMode().String(),
+				WaitNs:    now.Sub(req.waitStart).Nanoseconds(),
+			})
 		}
-		s := m.lockShard(i)
-		for req := s.waitHead; req != nil; req = req.wnext {
-			if req.parked {
-				continue // parked requests hold no queue position
-			}
-			for _, to := range m.waitEdges(req) {
-				edges = append(edges, obs.BlameEdge{
-					WaiterID:  req.owner.id,
-					WaiterApp: req.owner.app.id,
-					HolderID:  to.id,
-					HolderApp: to.app.id,
-					Lock:      req.name.String(),
-					Mode:      req.effectiveMode().String(),
-					WaitNs:    now.Sub(req.waitStart).Nanoseconds(),
-				})
-			}
-		}
-		m.unlockShard(s)
-	}
+	})
 	return obs.BuildBlame(edges)
 }
 
@@ -316,9 +303,9 @@ func (m *Manager) ContentionReport(topK int) string {
 		b.WriteString("  no contention recorded\n")
 	}
 	for i, hl := range hot {
-		fmt.Fprintf(&b, "  %2d. %-24s blame=%-12s wait=%-12s qmax=%-3d fallbacks=%-6d optfail=%-6d (shard %d, err ≤ %s)\n",
+		fmt.Fprintf(&b, "  %2d. %-24s blame=%-12s wait=%-12s qmax=%-3d optfail=%-6d (shard %d, err ≤ %s)\n",
 			i+1, hl.Name, time.Duration(hl.BlameNs), time.Duration(hl.WaitNs),
-			hl.QueueDepthMax, hl.Fallbacks, hl.OptFailures, hl.Shard, time.Duration(hl.ErrNs))
+			hl.QueueDepthMax, hl.OptFailures, hl.Shard, time.Duration(hl.ErrNs))
 	}
 	rep := m.DumpWaiters()
 	fmt.Fprintf(&b, "blocked-on blame: %d waiting owner(s), %d convoy(s), longest chain %d\n",

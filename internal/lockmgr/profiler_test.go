@@ -466,3 +466,52 @@ func TestLatchProfileSampling(t *testing.T) {
 		t.Fatal("no latch holds sampled after 1000 latched acquisitions")
 	}
 }
+
+// TestDumpWaitersMatchesDetector: DumpWaiters and the deadlock detector's
+// phase-1 export share one walk, so on a queue of 64 X waiters behind two S
+// holders, one of them converting to X, both report the same edges.
+func TestDumpWaitersMatchesDetector(t *testing.T) {
+	m := newMgr(Config{Shards: 1})
+	row := RowName(1, 1)
+	a, b := m.NewOwner(m.RegisterApp()), m.NewOwner(m.RegisterApp())
+	mustGrant(t, m.AcquireAsync(a, row, ModeS, 1), "holder a")
+	mustGrant(t, m.AcquireAsync(b, row, ModeS, 1), "holder b")
+	mustWait(t, m.AcquireAsync(b, row, ModeX, 1), "converter b")
+	for i := 0; i < 64; i++ {
+		mustWait(t, m.AcquireAsync(m.NewOwner(m.RegisterApp()), row, ModeX, 1), "X waiter")
+	}
+
+	type edge struct{ from, to uint64 }
+	count := func(es []edge) map[edge]int {
+		n := make(map[edge]int)
+		for _, e := range es {
+			n[e]++
+		}
+		return n
+	}
+	var fromDetector []edge
+	for _, e := range m.exportWaitEdges() {
+		if e.to != nil {
+			fromDetector = append(fromDetector, edge{e.fromID, e.toID})
+		}
+	}
+	var fromDump []edge
+	for _, e := range m.DumpWaiters().Edges {
+		fromDump = append(fromDump, edge{e.WaiterID, e.HolderID})
+	}
+	// The converter waits on a; each waiter on a and b (holders), b (the
+	// converter) and its predecessor, the first waiter having none.
+	if want := 1 + 64*3 + 63; len(fromDetector) != want {
+		t.Fatalf("detector exported %d edges, want %d", len(fromDetector), want)
+	}
+	if got, want := count(fromDump), count(fromDetector); len(fromDump) != len(fromDetector) || len(got) != len(want) {
+		t.Fatalf("DumpWaiters reports %d edges (%d distinct), detector %d (%d distinct)",
+			len(fromDump), len(got), len(fromDetector), len(want))
+	} else {
+		for e, n := range want {
+			if got[e] != n {
+				t.Fatalf("edge %d→%d: DumpWaiters %d, detector %d", e.from, e.to, got[e], n)
+			}
+		}
+	}
+}

@@ -710,3 +710,63 @@ func TestReleaseRacingControlPlane(t *testing.T) {
 		t.Fatal("no release batches were applied")
 	}
 }
+
+// TestReleaseBucketsByShard: a commit's batch is bucketed by shard once,
+// at collect time. An owner holding rows and table locks in at least four
+// shards has each visit's bucket hold exactly that shard's entries, rows
+// before tables, every entry in exactly one bucket; the commit then leaves
+// a consistent table.
+func TestReleaseBucketsByShard(t *testing.T) {
+	m := newMgr(Config{Shards: 8})
+	app := m.RegisterApp()
+	o := m.NewOwner(app)
+	for tid := uint32(1); tid <= 16; tid++ {
+		mustGrant(t, m.AcquireAsync(o, TableName(tid), ModeIX, 1), "intent")
+		for r := uint64(0); r < 4; r++ {
+			mustGrant(t, m.AcquireAsync(o, RowName(tid, r*101+uint64(tid)), ModeX, 1), "row")
+		}
+	}
+
+	var b releaseBatch
+	o.mu.Lock()
+	b.collect(m, o)
+	touched := o.touchedShards(nil)
+	o.mu.Unlock()
+
+	both, seen := 0, 0
+	for _, si := range touched {
+		ents := b.shardEntries(si)
+		rows, tables := 0, 0
+		for _, e := range ents {
+			if e.si != si || m.shardOf(e.name) != si {
+				t.Fatalf("shard %d's bucket holds %v, homed in shard %d", si, e.name, m.shardOf(e.name))
+			}
+			if e.name.Gran == GranRow {
+				if tables > 0 {
+					t.Fatalf("shard %d's bucket releases row %v after a table lock", si, e.name)
+				}
+				rows++
+			} else {
+				tables++
+			}
+		}
+		if rows > 0 && tables > 0 {
+			both++
+		}
+		if len(ents) > 0 != b.hasShard(si) {
+			t.Fatalf("shard %d: bucket of %d entries but shard bit %v", si, len(ents), b.hasShard(si))
+		}
+		seen += len(ents)
+	}
+	if both < 4 {
+		t.Fatalf("rows and table locks share only %d shards, want at least 4", both)
+	}
+	if want := len(b.rows) + len(b.tables); seen != want || want != 16*5 {
+		t.Fatalf("buckets hold %d entries, batch collected %d, owner held %d", seen, want, 16*5)
+	}
+	m.FinishOwner(o)
+	mustInvariants(t, m)
+	if got := m.UsedStructs(); got != 0 {
+		t.Fatalf("used structs = %d after commit", got)
+	}
+}

@@ -115,7 +115,7 @@ func (m *Manager) RetuneThrottle() {
 	if m.cfg.Throttle != 0 {
 		return // fixed or disabled ceiling: nothing adaptive to do
 	}
-	grantsNow := m.stats.grants.Load()
+	grantsNow := m.grants.Total()
 	p99 := int64(m.waitHist.Snapshot().Quantile(0.99))
 	for i := range m.shards {
 		s := &m.shards[i]

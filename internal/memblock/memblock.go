@@ -26,10 +26,14 @@
 // the chain sit per-shard lease Pools: a Pool reserves structures from the
 // chain in batches (block inUse accounting moves at lease granularity) and
 // then serves allocations and frees without touching the chain mutex at
-// all, adjusting only the atomic used counter. Reserved-but-unused
-// structures still count as free in Used/FreeStructs — the accounting the
-// STMM tuner sees is exact request-level usage, and
-// Used + FreeStructs == Capacity holds at all times.
+// all. Usage and requests are counted where they happen: the chain counts
+// its own direct Alloc/Free, and each pool counts what it serves in atomics
+// of its own, so no per-lock step writes a counter another shard's pool
+// also writes. The chain's Used and Requests are its direct count plus the
+// sum over its pools. Reserved-but-unused structures still count as free
+// in Used/FreeStructs — the accounting the STMM tuner sees is exact
+// request-level usage, and Used + FreeStructs == Capacity holds at every
+// quiescent point.
 //
 // The simulation accounts memory virtually — no 128 KB buffers are really
 // allocated — but the block-list mechanics, counts and failure modes are the
@@ -243,15 +247,27 @@ func (h *Handle) Split(n int) Handle {
 }
 
 // Chain is the lock memory block chain. It is safe for concurrent use.
+//
+// used and requests count only the chain's direct Alloc/Free; the structures
+// and requests its pools serve are counted on the pools (Pool.used,
+// Pool.requests), and Used/Requests add the two. A structure allocated from
+// the chain and freed through a pool (the lock manager's allocation of last
+// resort, released by a commit) leaves the chain's count high and the
+// pool's low by the same amount, so only the sum is meaningful.
 type Chain struct {
 	mu        sync.Mutex
 	avail     list // blocks with at least one free structure (or untouched)
 	exhausted list // fully in-use blocks ("empty block" list in the paper)
 	reserved  int  // structures reserved across all blocks (sum of inUse); guarded by mu
 
-	used     atomic.Int64 // structures allocated to requests (exact usage)
+	used     atomic.Int64 // structures allocated to requests by Alloc, less those Free returned
 	capacity atomic.Int64 // total structures across all blocks
-	requests atomic.Int64 // cumulative request-allocation attempts
+	requests atomic.Int64 // cumulative Alloc attempts
+
+	// pools lists every Pool created over the chain, for the Used and
+	// Requests sums. NewPool replaces the slice under mu (copy on write),
+	// so readers load it without a lock.
+	pools atomic.Pointer[[]*Pool]
 }
 
 // New creates a chain sized to the given number of 4 KB pages, rounded up to
@@ -441,16 +457,30 @@ func (c *Chain) Capacity() int {
 	return int(c.capacity.Load())
 }
 
+// usedTotal sums the chain's direct usage count and every pool's. The sum
+// is read counter by counter, so under concurrent allocation it is as fuzzy
+// as any unlatched gauge; with allocation quiescent it is exact.
+func (c *Chain) usedTotal() int64 {
+	n := c.used.Load()
+	if ps := c.pools.Load(); ps != nil {
+		for _, p := range *ps {
+			n += p.used.Load()
+		}
+	}
+	return n
+}
+
 // Used returns the number of lock structures currently allocated to
-// requests. Structures leased to pools but not yet serving a request do not
-// count: Used + FreeStructs == Capacity at all times.
+// requests: the chain's direct count plus every pool's. Structures leased
+// to pools but not yet serving a request do not count:
+// Used + FreeStructs == Capacity.
 func (c *Chain) Used() int {
-	return int(c.used.Load())
+	return int(c.usedTotal())
 }
 
 // FreeStructs returns the number of lock structures not serving a request.
 func (c *Chain) FreeStructs() int {
-	return int(c.capacity.Load() - c.used.Load())
+	return int(c.capacity.Load() - c.usedTotal())
 }
 
 // FreeFraction returns the fraction of lock structures that are allocated
@@ -461,7 +491,7 @@ func (c *Chain) FreeFraction() float64 {
 	if cap == 0 {
 		return 0
 	}
-	return float64(cap-c.used.Load()) / float64(cap)
+	return float64(cap-c.usedTotal()) / float64(cap)
 }
 
 // WhollyFreeBlocks returns the number of blocks with no structures in use —
@@ -482,7 +512,7 @@ func (c *Chain) WhollyFreeBlocks() int {
 // UsedPages returns the lock-structure usage expressed in whole 4 KB pages,
 // rounded up. This is the "used lock memory" figure the tuner works with.
 func (c *Chain) UsedPages() int {
-	used := int(c.used.Load())
+	used := int(c.usedTotal())
 	if used == 0 {
 		return 0
 	}
@@ -491,31 +521,16 @@ func (c *Chain) UsedPages() int {
 
 // Requests returns the cumulative number of request allocations — the
 // paper's "requests for new lock structures", which clocks the recomputation
-// of lockPercentPerApplication.
+// of lockPercentPerApplication: the chain's direct Alloc count plus every
+// pool's.
 func (c *Chain) Requests() int64 {
-	return c.requests.Load()
-}
-
-// ConsumeReserved records that n already-reserved structures (held in a
-// standing lease, e.g. a shard's fast-path credit) have been put to use by
-// a request. It adjusts only the atomic counters — the structures' blocks
-// were accounted at lease time — so it is safe to call without any latch.
-// Like Pool.Alloc, it counts as one lock-structure request.
-func (c *Chain) ConsumeReserved(n int) {
-	if n <= 0 {
-		return
+	n := c.requests.Load()
+	if ps := c.pools.Load(); ps != nil {
+		for _, p := range *ps {
+			n += p.requests.Load()
+		}
 	}
-	c.used.Add(int64(n))
-	c.requests.Add(1)
-}
-
-// ReturnReserved undoes ConsumeReserved: n structures return from request
-// use to their standing lease. Latch-free, like ConsumeReserved.
-func (c *Chain) ReturnReserved(n int) {
-	if n <= 0 {
-		return
-	}
-	c.used.Add(int64(-n))
+	return n
 }
 
 // Reserved returns the structures currently reserved from blocks — request
@@ -577,7 +592,7 @@ func (c *Chain) checkInvariants() error {
 	if cap := int(c.capacity.Load()); cap != blocks*StructsPerBlock {
 		return fmt.Errorf("capacity mismatch: atomic=%d blocks=%d", cap, blocks*StructsPerBlock)
 	}
-	if used := int(c.used.Load()); used > reserved {
+	if used := int(c.usedTotal()); used > reserved {
 		return fmt.Errorf("used %d exceeds reserved %d", used, reserved)
 	}
 	return nil
@@ -592,13 +607,15 @@ func (c *Chain) checkInvariants() error {
 const DefaultLeaseChunk = StructsPerBlock / 16
 
 // Pool is a lease cache in front of a Chain: it reserves structures from
-// the chain in chunks and then serves Alloc/Free without the chain mutex,
-// adjusting only the chain's atomic usage counter. Each lock-table shard
-// owns one Pool.
+// the chain in chunks and then serves Alloc/Free without the chain mutex.
+// It counts the structures it puts to use and the requests it serves in
+// counters of its own, which the chain's Used and Requests sum; no Pool
+// method writes a chain counter. Each lock-table shard owns one Pool.
 //
 // A Pool is NOT safe for concurrent use — the owning shard's latch guards
-// it. Flush is called by cross-shard operations (shrink, allocation of last
-// resort) with that same latch held.
+// it — except ConsumeReserved and ReturnReserved, which touch only the
+// pool's atomic counters. Flush is called by cross-shard operations
+// (shrink, allocation of last resort) with that same latch held.
 //
 // Parts are kept in a LIFO stack with adjacent same-block merging, so a
 // steady acquire/release workload reuses the same reservation indefinitely
@@ -609,18 +626,39 @@ type Pool struct {
 	n     int // structures currently pooled
 	chunk int
 
+	// used is the structures this pool put to use (Alloc, ConsumeReserved)
+	// less those it took back (Free, SettleFree, ReturnReserved). It goes
+	// negative when the pool frees structures the chain allocated directly;
+	// the chain's sum stays exact. requests counts the requests it served.
+	used     atomic.Int64
+	requests atomic.Int64
+
 	refills atomic.Int64 // chain leases taken (refill batches)
 	returns atomic.Int64 // chain leases returned (overflow batches)
 	pooled  atomic.Int64 // mirror of n for latch-free observers
+
+	// Pools are allocated one per shard; the pad rounds a Pool up to two
+	// cache lines so one shard's counters never share a line with
+	// another's.
+	_ [40]byte
 }
 
-// NewPool creates a lease pool over the chain. chunk <= 0 selects
-// DefaultLeaseChunk.
+// NewPool creates a lease pool over the chain and registers it in the
+// chain's Used/Requests sums. chunk <= 0 selects DefaultLeaseChunk.
 func (c *Chain) NewPool(chunk int) *Pool {
 	if chunk <= 0 {
 		chunk = DefaultLeaseChunk
 	}
-	return &Pool{c: c, chunk: chunk}
+	p := &Pool{c: c, chunk: chunk}
+	c.mu.Lock()
+	var ps []*Pool
+	if old := c.pools.Load(); old != nil {
+		ps = append(ps, *old...)
+	}
+	ps = append(ps, p)
+	c.pools.Store(&ps)
+	c.mu.Unlock()
+	return p
 }
 
 // pushRaw adds a part to the pool, merging with the top part when it
@@ -696,8 +734,8 @@ func (p *Pool) Alloc(n int) (Handle, bool) {
 	}
 	var h Handle
 	p.take(n, &h)
-	p.c.used.Add(int64(n))
-	p.c.requests.Add(1)
+	p.used.Add(int64(n))
+	p.requests.Add(1)
 	return h, true
 }
 
@@ -715,18 +753,18 @@ func (p *Pool) Free(h Handle) {
 	for _, pt := range h.extra {
 		p.push(pt)
 	}
-	p.c.used.Add(int64(-total))
+	p.used.Add(int64(-total))
 	if p.n > 4*p.chunk {
 		p.release(p.n - p.chunk)
 	}
 }
 
 // FreeBatched returns the structures covered by h to the pool like Free,
-// but defers the chain-level used accounting, the latch-free pooled
-// mirror refresh, and the excess-release check to SettleFree. Batch
-// release paths (a commit returning many locks to one shard) call it once
-// per lock and settle once per shard visit, turning two per-lock atomics
-// (the shared chain counter and the pooled mirror) into per-visit ones.
+// but defers the used accounting, the latch-free pooled mirror refresh,
+// and the excess-release check to SettleFree. Batch release paths (a
+// commit returning many locks to one shard) call it once per lock and
+// settle once per shard visit, turning two per-lock atomics (the pool's
+// used counter and the pooled mirror) into per-visit ones.
 // It returns the number of structures freed, to be summed into SettleFree.
 func (p *Pool) FreeBatched(h Handle) int {
 	total := h.Structs()
@@ -746,14 +784,14 @@ func (p *Pool) FreeBatched(h Handle) int {
 // update and one pooled-mirror refresh for the whole batch, then the same
 // excess-release check Free performs. total must be the sum of the
 // FreeBatched return values since the last settle. Caller holds the
-// owning shard's latch throughout the batch, so chain accounting is exact
+// owning shard's latch throughout the batch, so usage accounting is exact
 // again before any concurrent observer can latch the shard.
 func (p *Pool) SettleFree(total int) {
 	if total == 0 {
 		return
 	}
 	p.pooled.Store(int64(p.n))
-	p.c.used.Add(int64(-total))
+	p.used.Add(int64(-total))
 	if p.n > 4*p.chunk {
 		p.release(p.n - p.chunk)
 	}
@@ -830,6 +868,33 @@ func (p *Pool) Restore(h Handle) {
 		p.release(p.n - p.chunk)
 	}
 }
+
+// ConsumeReserved records that n already-reserved structures (held in a
+// standing lease, e.g. a shard's fast-path credit) have been put to use by
+// a request. It adjusts only the pool's atomic counters — the structures'
+// blocks were accounted at lease time — so it is safe to call without the
+// owning shard's latch. Like Alloc, it counts as one lock-structure
+// request.
+func (p *Pool) ConsumeReserved(n int) {
+	if n <= 0 {
+		return
+	}
+	p.used.Add(int64(n))
+	p.requests.Add(1)
+}
+
+// ReturnReserved undoes ConsumeReserved: n structures return from request
+// use to their standing lease. Latch-free, like ConsumeReserved.
+func (p *Pool) ReturnReserved(n int) {
+	if n <= 0 {
+		return
+	}
+	p.used.Add(int64(-n))
+}
+
+// Requests returns the cumulative number of requests the pool served
+// (Alloc and ConsumeReserved). Latch-free.
+func (p *Pool) Requests() int64 { return p.requests.Load() }
 
 // Structs returns the number of structures currently pooled. Caller holds
 // the owning shard's latch (like Alloc/Free).

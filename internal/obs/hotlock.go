@@ -35,9 +35,6 @@ const (
 	HotWaitNs = iota
 	// HotQueueMax is the queue-depth high-water mark (max, never decayed).
 	HotQueueMax
-	// HotFallbacks counts fast-path fallbacks to the latched admission
-	// path (sum).
-	HotFallbacks
 	// HotOptFailures counts optimistic-read validation failures (sum).
 	HotOptFailures
 	// NumHotMetrics sizes the per-entry attribute array.

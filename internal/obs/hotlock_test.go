@@ -84,7 +84,7 @@ func TestHotSketchBoundUnderEviction(t *testing.T) {
 func TestHotSketchZeroScoreRideAlong(t *testing.T) {
 	h := NewHotSketch[string](1, 2)
 	// Untracked key + zero blame: dropped entirely.
-	h.Observe(0, "cold", 0, HotFallbacks, 1)
+	h.Observe(0, "cold", 0, HotOptFailures, 1)
 	if got := len(h.Entries()); got != 0 {
 		t.Fatalf("zero-blame observation installed %d entries", got)
 	}
@@ -93,9 +93,9 @@ func TestHotSketchZeroScoreRideAlong(t *testing.T) {
 	}
 	// Tracked key: the attribute rides along without adding blame.
 	h.Observe(0, "hot", 500, HotWaitNs, 500)
-	h.Observe(0, "hot", 0, HotFallbacks, 3)
+	h.Observe(0, "hot", 0, HotOptFailures, 3)
 	e := h.Entries()[0]
-	if e.Score != 500 || e.Vals[HotFallbacks] != 3 {
+	if e.Score != 500 || e.Vals[HotOptFailures] != 3 {
 		t.Fatalf("ride-along: score %d vals %v", e.Score, e.Vals)
 	}
 }
@@ -124,7 +124,7 @@ func TestHotSketchZeroScoreTouchesOnlyItsAttribute(t *testing.T) {
 	}
 	slots0, before := slots(), byKey()
 
-	h.Observe(0, "cold", 0, HotFallbacks, 1)
+	h.Observe(0, "cold", 0, HotOptFailures, 1)
 	for i, p := range slots() {
 		if p != slots0[i] {
 			t.Fatalf("untracked zero-score observation replaced slot %d", i)
@@ -137,11 +137,11 @@ func TestHotSketchZeroScoreTouchesOnlyItsAttribute(t *testing.T) {
 		t.Fatalf("observed = %d after a zero-score observation, want 600", got)
 	}
 
-	h.Observe(0, "b", 0, HotFallbacks, 2)
+	h.Observe(0, "b", 0, HotOptFailures, 2)
 	h.Observe(0, "c", 0, HotQueueMax, 9)
 	got := byKey()
 	wantB, wantC := before["b"], before["c"]
-	wantB.Vals[HotFallbacks] += 2
+	wantB.Vals[HotOptFailures] += 2
 	wantC.Vals[HotQueueMax] = 9
 	if got["a"] != before["a"] || got["b"] != wantB || got["c"] != wantC {
 		t.Fatalf("tracked zero-score observations: got %v, want a %v, b %v, c %v", got, before["a"], wantB, wantC)
