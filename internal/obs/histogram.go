@@ -201,18 +201,17 @@ func (s Snapshot) ApproxSum() float64 {
 	return s.Mean() * float64(s.Total)
 }
 
-// Sampler admits every strideth Tick — the cheap way to put wall-clock
-// timestamping on a hot path without paying for two time.Now calls per
-// operation. Tick is one atomic add; the stride is a power of two so the
-// admit test is a mask. The zero Sampler admits nothing (stride 0 =
-// disabled). It uses plain-word atomics so a pre-use value copy (struct
-// embedding at construction) is legal.
+// Sampler admits one event in every stride — the cheap way to put
+// wall-clock timestamping on a hot path without paying for two time.Now
+// calls per operation. The caller numbers its events (an owner-local
+// counter, an owner id), so no sampling counter is shared between the
+// cores that record; the stride is a power of two so the admit test is a
+// mask. The zero Sampler admits nothing (stride 0 = disabled).
 type Sampler struct {
 	stride uint64
-	n      uint64
 }
 
-// NewSampler returns a sampler admitting one in stride Ticks (rounded up
+// NewSampler returns a sampler admitting one in stride events (rounded up
 // to a power of two). stride ≤ 0 disables the sampler.
 func NewSampler(stride int) Sampler {
 	if stride <= 0 {
@@ -228,10 +227,8 @@ func NewSampler(stride int) Sampler {
 // Stride returns the effective stride (0 = disabled).
 func (s *Sampler) Stride() int { return int(s.stride) }
 
-// Tick reports whether this event is sampled.
-func (s *Sampler) Tick() bool {
-	if s.stride == 0 {
-		return false
-	}
-	return atomic.AddUint64(&s.n, 1)&(s.stride-1) == 0
+// Admit reports whether event number n is sampled: every n that is a
+// multiple of the stride.
+func (s *Sampler) Admit(n uint64) bool {
+	return s.stride != 0 && n&(s.stride-1) == 0
 }

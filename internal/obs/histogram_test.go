@@ -227,9 +227,9 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 
 func TestSampler(t *testing.T) {
 	var off Sampler
-	for i := 0; i < 10; i++ {
-		if off.Tick() {
-			t.Fatal("zero Sampler admitted a tick")
+	for i := uint64(0); i < 10; i++ {
+		if off.Admit(i) {
+			t.Fatal("zero Sampler admitted an event")
 		}
 	}
 	s := NewSampler(5) // rounds up to 8
@@ -237,8 +237,8 @@ func TestSampler(t *testing.T) {
 		t.Fatalf("stride = %d, want 8", s.Stride())
 	}
 	admitted := 0
-	for i := 0; i < 800; i++ {
-		if s.Tick() {
+	for i := uint64(1); i <= 800; i++ {
+		if s.Admit(i) {
 			admitted++
 		}
 	}
