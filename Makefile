@@ -36,7 +36,7 @@ race:
 # interleavings, and so what they exercise, change with the number of Ps,
 # and a failure seen only at 8 would otherwise wait for make flake, which
 # takes hours. About 20 s on 2 cores.
-HAMMER_PKGS = ./internal/lockmgr ./internal/txn ./internal/engine
+HAMMER_PKGS = ./internal/lockmgr ./internal/txn ./internal/engine ./internal/bufferpool
 hammer:
 	@set -e; for p in 1 2 8; do \
 		echo "hammer: GOMAXPROCS=$$p"; \

@@ -10,23 +10,34 @@
 //
 // A large pool is striped: each page belongs to one stripe, chosen by low
 // bits of its hash, and each stripe is a clock-sweep cache of its own with
-// its own mutex, frames, index, hand and counters, so concurrent accesses
-// to different stripes never share a lock or a written cache line. The
-// stripe count is fixed at New; a pool too small for stripes of
-// minStripePages pages has one stripe and keeps a single clock order.
+// its own mutex, frames, index, hand and miss counters. The stripe count is
+// fixed at New; a pool too small for stripes of minStripePages pages has
+// one stripe and keeps a single clock order.
+//
+// A hit takes no mutex and writes no line another session writes. It finds
+// the page with atomic loads of the stripe's index slots, confirms it by
+// the frame's page word, sets the frame's reference bit only when the bit
+// is clear, and counts itself in the caller's own counter cell. Misses,
+// evictions and Resize take the stripe mutex and bump the stripe's
+// sequence counter when done, so a miss whose lock-free probe saw an
+// unchanged sequence trusts that probe instead of repeating it. Driven
+// from one goroutine, the pool makes the same hit, miss and eviction
+// decisions as a plain clock sweep.
 package bufferpool
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
-	"repro/internal/flathash"
+	"repro/internal/metrics"
 )
 
-// frame is one cached page.
+// frame is one cached page. Hits read page and set ref without the stripe
+// mutex; used, and every other write, is under it.
 type frame struct {
-	page uint64
-	ref  bool
+	page atomic.Uint64
+	ref  atomic.Bool
 	used bool
 }
 
@@ -38,18 +49,103 @@ const (
 	minStripePages = 2 * 1024
 )
 
+// table is a stripe's frames and the index that maps a page to its frame.
+// The index is open-addressed with linear probing and backward-shift
+// deletion; a slot holds the top 32 bits of the page's hash over the
+// frame's position plus one, and zero marks it empty. Both arrays are
+// sized at allocation for every frame, so only a stripe grown past them
+// replaces its table; frames beyond the stripe's size are unused.
+type table struct {
+	frames []frame
+	slots  []atomic.Uint64
+}
+
+func newTable(frames int) *table {
+	return &table{frames: make([]frame, frames), slots: make([]atomic.Uint64, frames+frames/3+1)}
+}
+
+// home is the slot a tag's probe run starts at: the tag scaled to the
+// slot count.
+func (t *table) home(tag uint64) int { return int(tag * uint64(len(t.slots)) >> 32) }
+
+func (t *table) next(i int) int {
+	if i++; i == len(t.slots) {
+		return 0
+	}
+	return i
+}
+
+// find returns the position of the frame caching page, or -1. It reads
+// with atomic loads, so it may run beside a writer: a match is confirmed
+// by the frame's page word, and a miss seen while a writer shifts the
+// probe run is re-checked by the caller under the mutex.
+func (t *table) find(hash, page uint64) int {
+	tag := hash >> 32
+	for i, n := t.home(tag), 0; n < len(t.slots); i, n = t.next(i), n+1 {
+		v := t.slots[i].Load()
+		if v == 0 {
+			break
+		}
+		if v>>32 == tag {
+			if pos := int(uint32(v)) - 1; t.frames[pos].page.Load() == page {
+				return pos
+			}
+		}
+	}
+	return -1
+}
+
+// insert indexes the frame at pos under hash. Caller holds the mutex.
+func (t *table) insert(hash uint64, pos int) {
+	tag := hash >> 32
+	i := t.home(tag)
+	for t.slots[i].Load() != 0 {
+		i = t.next(i)
+	}
+	t.slots[i].Store(tag<<32 | uint64(pos+1))
+}
+
+// unindex removes the used frame at pos from the index: every later value
+// of the run whose probe path passes the hole moves back into it, so no
+// tombstone is left. Caller holds the mutex.
+func (t *table) unindex(pos int) {
+	tag := pageHash(t.frames[pos].page.Load()) >> 32
+	v := tag<<32 | uint64(pos+1)
+	i := t.home(tag)
+	for t.slots[i].Load() != v {
+		i = t.next(i)
+	}
+	for j := t.next(i); ; j = t.next(j) {
+		w := t.slots[j].Load()
+		if w == 0 {
+			break
+		}
+		if t.dist(t.home(w>>32), j) >= t.dist(i, j) {
+			t.slots[i].Store(w)
+			i = j
+		}
+	}
+	t.slots[i].Store(0)
+}
+
+// dist is the number of probe steps from slot a to slot b.
+func (t *table) dist(a, b int) int {
+	if b < a {
+		b += len(t.slots)
+	}
+	return b - a
+}
+
 // stripe is one clock-sweep cache: the pages whose hash selects it.
 type stripe struct {
-	mu     sync.Mutex
-	frames []frame
-	// index maps a page to its frame: 4-byte positions (stored off by one;
-	// zero is the table's empty slot) compared through frames[pos].page,
-	// sized for every frame of the stripe at New and Resize so an access
-	// never grows it.
-	index flathash.Table[uint32]
-	hand  int
+	tab atomic.Pointer[table]
+	seq atomic.Uint64 // bumped after every change to the index, under mu
 
-	hits, misses      int64
+	mu   sync.Mutex
+	size int // frames in use: tab's first size
+	hand int
+
+	misses            int64
 	intervalMisses    int64
 	intervalEvictions int64
 	totalEvictions    int64
@@ -61,6 +157,7 @@ type stripe struct {
 type Pool struct {
 	stripes []stripe
 	mask    uint64 // len(stripes)-1
+	hits    *metrics.ShardCounters
 
 	// sizeMu serialises Resize, so the stripes always split one size;
 	// pages is that size.
@@ -77,15 +174,18 @@ func New(pages int) *Pool {
 	for n*2 <= stripesPerProc*runtime.GOMAXPROCS(0) && pages/(n*2) >= minStripePages {
 		n *= 2
 	}
-	p := &Pool{stripes: make([]stripe, n), mask: uint64(n - 1)}
+	p := &Pool{stripes: make([]stripe, n), mask: uint64(n - 1), hits: metrics.NewWriterCounters("buffer pool hits")}
+	for i := range p.stripes {
+		p.stripes[i].tab.Store(newTable(0))
+	}
 	p.resize(pages)
 	return p
 }
 
 // pageHash spreads page numbers over the index. The multiplier is odd, so
-// distinct pages never share a hash, and the table reads the top bits,
+// distinct pages never share a hash, and the index reads the top bits,
 // where consecutive pages land far apart. The stripe is chosen by the low
-// bits, which the table does not read.
+// bits, which the index does not read.
 func pageHash(page uint64) uint64 { return page * 0x9E3779B97F4A7C15 }
 
 // share is stripe i's part of a pool of pages pages: an even split, the
@@ -98,17 +198,6 @@ func (p *Pool) share(i, pages int) int {
 	return pages / n
 }
 
-// lookup returns the position of the frame caching page.
-func (s *stripe) lookup(hash, page uint64) (int, bool) {
-	v, ok := s.index.Find(hash, func(v uint32) bool { return s.frames[v-1].page == page })
-	return int(v) - 1, ok
-}
-
-// unindex removes the used frame at pos from the index.
-func (s *stripe) unindex(pos int) {
-	s.index.Delete(pageHash(s.frames[pos].page), uint32(pos)+1)
-}
-
 // Pages returns the pool capacity in pages.
 func (p *Pool) Pages() int {
 	p.sizeMu.Lock()
@@ -118,51 +207,81 @@ func (p *Pool) Pages() int {
 
 // Access touches a page, returning true on a cache hit. On a miss the page
 // is brought in, evicting via its stripe's clock sweep if the stripe is
-// full. A zero-sized pool always misses.
-func (p *Pool) Access(page uint64) bool {
+// full. A zero-sized pool always misses. It is AccessBy for writer 0.
+func (p *Pool) Access(page uint64) bool { return p.AccessBy(0, page) }
+
+// AccessBy is Access for the session whose id is writer: its hit is counted
+// in the writer's own cell, so sessions that hit the same pages write no
+// common line.
+func (p *Pool) AccessBy(writer int, page uint64) bool {
 	h := pageHash(page)
 	s := &p.stripes[h&p.mask]
+	seq := s.seq.Load()
+	if p.hit(s.tab.Load(), h, page, writer) {
+		return true
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if pos, ok := s.lookup(h, page); ok {
-		// Set the bit only when clear: a hit on a hot page then writes no
-		// frame line that the other cores read.
-		if f := &s.frames[pos]; !f.ref {
-			f.ref = true
-		}
-		s.hits++
+	// A writer that changed the index since the probe may have brought
+	// the page in, or shifted it past the probe: look again.
+	t := s.tab.Load()
+	if s.seq.Load() != seq && p.hit(t, h, page, writer) {
 		return true
 	}
 	s.misses++
 	s.intervalMisses++
-	if len(s.frames) == 0 {
+	if s.size == 0 {
 		return false
 	}
-	pos := s.evictLocked()
-	if s.frames[pos].used {
-		s.unindex(pos)
+	pos := s.evictLocked(t)
+	f := &t.frames[pos]
+	if f.used {
+		t.unindex(pos)
 		s.totalEvictions++
 		s.intervalEvictions++
 	}
 	// New pages enter with the reference bit clear: only a re-reference
 	// earns a second chance, otherwise a full sweep degenerates to FIFO
-	// and hot pages get no protection.
-	s.frames[pos] = frame{page: page, used: true}
-	s.index.Insert(h, uint32(pos)+1)
+	// and hot pages get no protection. The victim's bit is clear already
+	// unless a hit raced the sweep.
+	if f.ref.Load() {
+		f.ref.Store(false)
+	}
+	f.page.Store(page)
+	f.used = true
+	t.insert(h, pos)
+	s.seq.Add(1)
 	return false
 }
 
+// hit looks page up in t and, when it is there, references its frame and
+// counts the hit. The bit is set only when clear: a hit on a hot page then
+// writes no frame line that the other cores read.
+func (p *Pool) hit(t *table, hash, page uint64, writer int) bool {
+	pos := t.find(hash, page)
+	if pos < 0 {
+		return false
+	}
+	if f := &t.frames[pos]; !f.ref.Load() {
+		f.ref.Store(true)
+	}
+	p.hits.Writer(writer).Inc()
+	return true
+}
+
 // evictLocked runs the clock hand to a victim frame (or a free one).
-func (s *stripe) evictLocked() int {
+func (s *stripe) evictLocked(t *table) int {
 	for {
-		f := &s.frames[s.hand]
+		f := &t.frames[s.hand]
 		pos := s.hand
-		s.hand = (s.hand + 1) % len(s.frames)
+		if s.hand++; s.hand == s.size {
+			s.hand = 0
+		}
 		if !f.used {
 			return pos
 		}
-		if f.ref {
-			f.ref = false
+		if f.ref.Load() {
+			f.ref.Store(false)
 			continue
 		}
 		return pos
@@ -196,44 +315,54 @@ func (p *Pool) resize(pages int) {
 
 // resizeLocked sets the stripe's frame count. Caller holds s.mu.
 func (s *stripe) resizeLocked(pages int) {
-	cur := len(s.frames)
-	switch {
-	case pages < cur:
-		for i := pages; i < cur; i++ {
-			if s.frames[i].used {
-				s.unindex(i)
-				s.totalEvictions++
-				s.intervalEvictions++
+	t := s.tab.Load()
+	if pages > len(t.frames) {
+		// Hits still probing the old table find what it held when it
+		// was replaced.
+		grown := newTable(pages)
+		for i := range s.size {
+			if f := &t.frames[i]; f.used {
+				g := &grown.frames[i]
+				g.page.Store(f.page.Load())
+				g.ref.Store(f.ref.Load())
+				g.used = true
+				grown.insert(pageHash(f.page.Load()), i)
 			}
 		}
-		s.frames = s.frames[:pages]
-		if s.hand >= pages {
-			s.hand = 0
-		}
-	case pages > cur:
-		grown := make([]frame, pages)
-		copy(grown, s.frames)
-		s.frames = grown
-		s.index.Reserve(pages)
+		s.tab.Store(grown)
+		t = grown
 	}
+	for i := pages; i < s.size; i++ {
+		if f := &t.frames[i]; f.used {
+			t.unindex(i)
+			f.used = false
+			s.totalEvictions++
+			s.intervalEvictions++
+		}
+	}
+	s.size = pages
+	if s.hand >= pages {
+		s.hand = 0
+	}
+	s.seq.Add(1)
 }
 
 // totals is the stripes' frames and counters, summed.
 type totals struct {
-	frames                                          int
-	hits, misses, intervalMisses, intervalEvictions int64
-	totalEvictions                                  int64
+	frames                                    int
+	misses, intervalMisses, intervalEvictions int64
+	totalEvictions                            int64
 }
 
 // sum reads each stripe under its own mutex, so the sum is exact for a
-// quiescent pool and fuzzy under traffic.
+// quiescent pool and fuzzy under traffic. Hits are not in it: they are
+// counted per writer (Pool.hits).
 func (p *Pool) sum() totals {
 	var t totals
 	for i := range p.stripes {
 		s := &p.stripes[i]
 		s.mu.Lock()
-		t.frames += len(s.frames)
-		t.hits += s.hits
+		t.frames += s.size
 		t.misses += s.misses
 		t.intervalMisses += s.intervalMisses
 		t.intervalEvictions += s.intervalEvictions
@@ -245,18 +374,17 @@ func (p *Pool) sum() totals {
 
 // HitRatio returns the lifetime hit ratio, or 0 with no accesses.
 func (p *Pool) HitRatio() float64 {
-	t := p.sum()
-	total := t.hits + t.misses
-	if total == 0 {
+	hits, misses, _ := p.Stats()
+	if hits+misses == 0 {
 		return 0
 	}
-	return float64(t.hits) / float64(total)
+	return float64(hits) / float64(hits+misses)
 }
 
 // Stats returns lifetime hits, misses and evictions.
 func (p *Pool) Stats() (hits, misses, evictions int64) {
 	t := p.sum()
-	return t.hits, t.misses, t.totalEvictions
+	return p.hits.Total(), t.misses, t.totalEvictions
 }
 
 // Benefit estimates the marginal value of additional pages for the current

@@ -184,9 +184,9 @@ func checkShares(t *testing.T, p *Pool, pages int) {
 	if got := p.Pages(); got != pages {
 		t.Fatalf("pages = %d, want %d", got, pages)
 	}
-	lo, hi, sum := len(p.stripes[0].frames), 0, 0
+	lo, hi, sum := p.stripes[0].size, 0, 0
 	for i := range p.stripes {
-		n := len(p.stripes[i].frames)
+		n := p.stripes[i].size
 		lo, hi, sum = min(lo, n), max(hi, n), sum+n
 	}
 	if sum != pages || hi-lo > 1 {
@@ -239,4 +239,181 @@ func TestStripedConcurrentAccessResize(t *testing.T) {
 		t.Fatalf("accesses = %d, want %d", hits+misses, goroutines*accesses)
 	}
 	checkShares(t, p, p.Pages())
+}
+
+// refClock is the clock sweep the pool must reproduce, written the plain
+// way: one frame array, one map, one hand, no stripes.
+type refClock struct {
+	frames    []refFrame
+	at        map[uint64]int
+	hand      int
+	evictions int64
+}
+
+type refFrame struct {
+	page      uint64
+	ref, used bool
+}
+
+func (c *refClock) access(page uint64) bool {
+	if pos, ok := c.at[page]; ok {
+		c.frames[pos].ref = true
+		return true
+	}
+	for len(c.frames) > 0 {
+		pos := c.hand
+		f := &c.frames[pos]
+		c.hand = (c.hand + 1) % len(c.frames)
+		if f.used && f.ref {
+			f.ref = false
+			continue
+		}
+		if f.used {
+			delete(c.at, f.page)
+			c.evictions++
+		}
+		*f = refFrame{page: page, used: true}
+		c.at[page] = pos
+		break
+	}
+	return false
+}
+
+func (c *refClock) resize(pages int) {
+	for pos := pages; pos < len(c.frames); pos++ {
+		if c.frames[pos].used {
+			delete(c.at, c.frames[pos].page)
+			c.evictions++
+		}
+	}
+	if pages <= len(c.frames) {
+		c.frames = c.frames[:pages]
+	} else {
+		c.frames = append(c.frames, make([]refFrame, pages-len(c.frames))...)
+	}
+	if c.hand >= pages {
+		c.hand = 0
+	}
+}
+
+// TestPoolMatchesReferenceClock replays seeded single-goroutine traces —
+// a hot set, a cold tail, and resizes that shrink, grow past the frames
+// allocated so far and grow within them — through a one-stripe pool and
+// the reference clock, and requires the same hit or miss on every access
+// and the same eviction count after every step.
+func TestPoolMatchesReferenceClock(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		size := rng.Intn(300)
+		p := New(size)
+		if len(p.stripes) != 1 {
+			t.Fatalf("stripes = %d, want 1", len(p.stripes))
+		}
+		ref := &refClock{at: map[uint64]int{}}
+		ref.resize(size)
+		var hits, misses int64
+		for step := 0; step < 5000; step++ {
+			if rng.Intn(200) == 0 {
+				size = rng.Intn(400)
+				p.Resize(size)
+				ref.resize(size)
+			} else {
+				page := uint64(rng.Intn(64))
+				if rng.Intn(5) == 0 {
+					page = uint64(rng.Intn(4 * (size + 1)))
+				}
+				got, want := p.Access(page), ref.access(page)
+				if got != want {
+					t.Fatalf("seed %d step %d: Access(%d) = %v, reference %v", seed, step, page, got, want)
+				}
+				if want {
+					hits++
+				} else {
+					misses++
+				}
+			}
+			if h, m, ev := p.Stats(); h != hits || m != misses || ev != ref.evictions {
+				t.Fatalf("seed %d step %d: hits/misses/evictions %d/%d/%d, reference %d/%d/%d",
+					seed, step, h, m, ev, hits, misses, ref.evictions)
+			}
+		}
+	}
+}
+
+// checkIndex asserts, for a quiescent pool, that every stripe's index and
+// frames agree: each used frame is found at its own position, each index
+// slot names a used frame whose hash it carries, and no frame past the
+// stripe's size is used.
+func checkIndex(t *testing.T, p *Pool) {
+	t.Helper()
+	for i := range p.stripes {
+		s := &p.stripes[i]
+		tab, used := s.tab.Load(), 0
+		for pos := range tab.frames {
+			f := &tab.frames[pos]
+			if !f.used {
+				continue
+			}
+			if pos >= s.size {
+				t.Fatalf("stripe %d: frame %d used past size %d", i, pos, s.size)
+			}
+			used++
+			if page := f.page.Load(); tab.find(pageHash(page), page) != pos {
+				t.Fatalf("stripe %d: page %d in frame %d not found there", i, page, pos)
+			}
+		}
+		slots := 0
+		for j := range tab.slots {
+			v := tab.slots[j].Load()
+			if v == 0 {
+				continue
+			}
+			slots++
+			f := &tab.frames[int(uint32(v))-1]
+			if !f.used || pageHash(f.page.Load())>>32 != v>>32 {
+				t.Fatalf("stripe %d: slot %d names frame %d, which does not hold its page", i, j, int(uint32(v))-1)
+			}
+		}
+		if slots != used {
+			t.Fatalf("stripe %d: %d index slots for %d used frames", i, slots, used)
+		}
+	}
+}
+
+// TestPoolHitHammer runs lock-free hits on a hot set beside misses,
+// evictions and resizes, on a one-stripe pool (every access on one stripe)
+// and a striped one. Every access must be counted exactly once, and the
+// index must agree with the frames afterwards.
+func TestPoolHitHammer(t *testing.T) {
+	for _, striped := range []bool{false, true} {
+		p, lo := New(256), 128
+		if striped {
+			p, lo = stripedPool(t), 16384
+		}
+		const goroutines, accesses = 6, 20000
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				for i := 0; i < accesses; i++ {
+					page := uint64(rng.Intn(64))
+					if i%8 == 0 {
+						page = uint64(rng.Intn(8 * lo))
+					}
+					p.AccessBy(g, page)
+					if g == 0 && i%1000 == 0 {
+						p.Resize(lo + rng.Intn(3*lo))
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if hits, misses, _ := p.Stats(); hits+misses != goroutines*accesses {
+			t.Fatalf("striped=%v: hits %d + misses %d, want %d accesses", striped, hits, misses, goroutines*accesses)
+		}
+		checkIndex(t, p)
+		checkShares(t, p, p.Pages())
+	}
 }

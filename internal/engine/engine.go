@@ -413,8 +413,12 @@ func (db *Database) Policy() Policy { return db.cfg.Policy }
 
 // TouchRow simulates reading the data page of (table, row) through the
 // buffer pool and reports whether it was a cache hit.
-func (db *Database) TouchRow(t *storage.Table, row uint64) bool {
-	return db.pool.Access(t.PageOf(row))
+func (db *Database) TouchRow(t *storage.Table, row uint64) bool { return db.touch(0, t, row) }
+
+// touch is TouchRow by the session whose application id is w, which the
+// pool counts a hit under.
+func (db *Database) touch(w int, t *storage.Table, row uint64) bool {
+	return db.pool.AccessBy(w, t.PageOf(row))
 }
 
 // TuneOnce runs one STMM pass. The second result is false for policies

@@ -167,19 +167,15 @@ func (db *Database) WriteMetrics(m *obs.MetricWriter) {
 	// Latch-free admission fast path: hits (grant-word CAS admissions plus
 	// owner-local re-acquire cache hits) vs fallbacks to the latched
 	// admission path. Hits + fallbacks partition all acquisitions.
-	m.CounterVec("lockmem_fastpath_hits_total", "grants admitted without the shard latch", "shard",
-		db.locks.FastPathHitCounters().Values())
-	m.CounterVec("lockmem_fastpath_fallbacks_total", "acquisitions on the latched admission path", "shard",
-		db.locks.FastPathFallbackCounters().Values())
+	m.Counter("lockmem_fastpath_hits_total", "grants admitted without the shard latch", snap.LockFastPathHits)
+	m.Counter("lockmem_fastpath_fallbacks_total", "acquisitions on the latched admission path", snap.LockFastPathFallbacks)
 
 	// Zero-CAS optimistic read tier: tokens issued vs tokens refuted at
 	// validation. failures/hits is the invalidation rate; hits ride above
 	// the fast-path partition (hits + fastpath hits + fallbacks covers
 	// every admission attempt).
-	m.CounterVec("lockmem_optimistic_hits_total", "optimistic read tokens issued", "shard",
-		db.locks.OptimisticHitCounters().Values())
-	m.CounterVec("lockmem_optimistic_failures_total", "optimistic read tokens failing validation", "shard",
-		db.locks.OptimisticFailureCounters().Values())
+	m.Counter("lockmem_optimistic_hits_total", "optimistic read tokens issued", snap.LockOptimisticHits)
+	m.Counter("lockmem_optimistic_failures_total", "optimistic read tokens failing validation", snap.LockOptimisticFailures)
 
 	// Release walk: batches applied per shard (one per commit visit) and
 	// grant wakeups coalesced out of latched sections.

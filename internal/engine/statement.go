@@ -60,6 +60,7 @@ func (db *Database) Exec(ctx context.Context, tx *txn.Txn, s Stmt) (rowLocking b
 		return false, fmt.Errorf("engine: statement %q has no table", s.Class)
 	}
 	fp := s.footprint()
+	w := tx.Owner().App().ID()
 	rowLocking = db.comp.ChooseRowLocking(s.Class, fp)
 	defer func() {
 		if err == nil {
@@ -72,7 +73,7 @@ func (db *Database) Exec(ctx context.Context, tx *txn.Txn, s Stmt) (rowLocking b
 		if err := tx.LockTable(ctx, s.Table.ID, s.mode()); err != nil {
 			return false, err
 		}
-		db.touchSpan(s)
+		db.touchSpan(w, s)
 		return false, nil
 	}
 
@@ -87,7 +88,7 @@ func (db *Database) Exec(ctx context.Context, tx *txn.Txn, s Stmt) (rowLocking b
 				n = s.Scan.Count - off
 			}
 			row := s.Scan.Start + off
-			db.TouchRow(s.Table, row)
+			db.touch(w, s.Table, row)
 			if err := tx.LockRange(ctx, s.Table.ID, row, s.mode(), int(n)); err != nil {
 				return true, err
 			}
@@ -95,13 +96,14 @@ func (db *Database) Exec(ctx context.Context, tx *txn.Txn, s Stmt) (rowLocking b
 		return true, nil
 	}
 	for _, row := range s.Rows {
-		db.TouchRow(s.Table, row)
+		db.touch(w, s.Table, row)
 	}
 	return true, tx.LockRows(ctx, s.Table.ID, s.Rows, s.mode())
 }
 
-// touchSpan simulates the page accesses of a table-granularity plan.
-func (db *Database) touchSpan(s Stmt) {
+// touchSpan simulates the page accesses of a table-granularity plan by
+// session w.
+func (db *Database) touchSpan(w int, s Stmt) {
 	if s.Scan != nil {
 		// Touch one page per 64 rows of the range (bounded).
 		n := s.Scan.Count
@@ -109,11 +111,11 @@ func (db *Database) touchSpan(s Stmt) {
 			n = 1 << 14
 		}
 		for off := uint64(0); off < n; off += 64 {
-			db.TouchRow(s.Table, s.Scan.Start+off)
+			db.touch(w, s.Table, s.Scan.Start+off)
 		}
 		return
 	}
 	for _, row := range s.Rows {
-		db.TouchRow(s.Table, row)
+		db.touch(w, s.Table, row)
 	}
 }

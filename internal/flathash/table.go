@@ -1,7 +1,6 @@
 // Package flathash is a small open-addressed hash table for paths that
-// already hold a 64-bit hash of their key: the lock table's shards, an
-// owner's held-lock index and the buffer pool's page index all probe it once
-// per row lock or page access.
+// already hold a 64-bit hash of their key: the lock table's shards and an
+// owner's held-lock index probe it once per row lock.
 //
 // A slot stores a 32-bit tag — the top half of the caller's hash — and a
 // value. The key lives in (or behind) the value, and lookups compare it

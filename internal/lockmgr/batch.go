@@ -35,9 +35,9 @@ package lockmgr
 //
 // Every admission is counted once, as a fast-path hit or a fallback. The
 // batch counts only what it keeps, once the stop is known: a hit per row
-// the fast tiers admitted, one fallback add per shard for the rows its
-// visit admitted. A rolled-back row is counted by the Acquire that admits
-// it again, like every row from the stop on.
+// the fast tiers admitted, a fallback per row a shard visit admitted, in
+// its application's cells. A rolled-back row is counted by the Acquire
+// that admits it again, like every row from the stop on.
 
 import (
 	"context"
@@ -107,7 +107,7 @@ func (m *Manager) AcquireRows(ctx context.Context, o *Owner, table uint32, rows 
 	if stop < len(rows) {
 		m.rollbackRows(o, b, stop)
 	}
-	m.countBatch(b, stop)
+	m.countBatch(o, b, stop)
 	m.flushConts()
 	b.ents, b.keys = b.ents[:0], b.keys[:0]
 	if p := b.wait; p != nil {
@@ -196,7 +196,7 @@ func (m *Manager) admitShardRows(o *Owner, si int, b *rowBatch, keys []uint64, m
 		}
 	}
 	o.mu.Unlock()
-	m.grants.Shard(si).Add(int64(granted))
+	m.grants.Writer(o.app.id).Add(int64(granted))
 	if b.added {
 		b.added = false
 		s.syncTableMirror()
@@ -310,28 +310,18 @@ func (m *Manager) rollbackRows(o *Owner, b *rowBatch, stop int) {
 }
 
 // countBatch counts the admissions the batch keeps, those before stop, in
-// the funnel: a fast-path hit per row the latch-free tiers admitted, one
-// fallback add per visited shard for its latched rows (keys is sorted by
-// shard).
-func (m *Manager) countBatch(b *rowBatch, stop int) {
+// the funnel: a fast-path hit per row the latch-free tiers admitted, a
+// fallback per row a shard visit admitted.
+func (m *Manager) countBatch(o *Owner, b *rowBatch, stop int) {
+	var fast, latched int64
 	for _, e := range b.ents[:stop] {
-		if e.tier == batchFast {
-			m.fastHits.Shard(e.si).Inc()
+		switch e.tier {
+		case batchFast:
+			fast++
+		case batchLatched:
+			latched++
 		}
 	}
-	n, si := int64(0), -1
-	for _, k := range b.keys {
-		if int(k>>32) != si {
-			if n > 0 {
-				m.fastFallbacks.Shard(si).Add(n)
-			}
-			n, si = 0, int(k>>32)
-		}
-		if i := int(uint32(k)); i < stop && b.ents[i].tier == batchLatched {
-			n++
-		}
-	}
-	if n > 0 {
-		m.fastFallbacks.Shard(si).Add(n)
-	}
+	m.fastHits.Writer(o.app.id).Add(fast)
+	m.fastFallbacks.Writer(o.app.id).Add(latched)
 }

@@ -90,8 +90,6 @@ import (
 	"math"
 	"runtime"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // Grant-word field layout.
@@ -474,15 +472,15 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 	}
 	// Owner-local re-acquire cache: the owner already holds this very lock
 	// at a mode at least as strong, or a table lock covering the row. Both
-	// checks read only owner-mu-guarded state; a hit writes nothing shared
-	// but the home shard's grant count.
+	// checks read only owner-mu-guarded state; a hit writes nothing but
+	// its application's grant cell.
 	if cur, covered := o.heldCover(name, hash, mode); cur != nil || covered {
 		if !covered || cur != nil && cur.converting {
 			o.mu.Unlock()
 			return nil, false // conversion (or in-flight state): latched path
 		}
 		o.mu.Unlock()
-		m.grants.Shard(si).Inc()
+		m.grants.Writer(o.app.id).Inc()
 		return grantedSingleton, false
 	}
 
@@ -576,7 +574,7 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 	// adds on the shard's pool, keeping STMM-facing Used/Requests exact.
 	s.pool.ConsumeReserved(weight)
 	o.app.structs.Add(int64(weight))
-	m.grants.Shard(si).Inc()
+	m.grants.Writer(o.app.id).Inc()
 	return grantedSingleton, true
 }
 
@@ -661,11 +659,3 @@ func (m *Manager) FastPathHits() int64 { return m.fastHits.Total() }
 // took the latched admission path (including modes the fast path never
 // attempts). Hits + fallbacks partition all acquisitions. Lock-free.
 func (m *Manager) FastPathFallbacks() int64 { return m.fastFallbacks.Total() }
-
-// FastPathHitCounters exposes the per-shard fast-path hit counters for
-// metrics wiring.
-func (m *Manager) FastPathHitCounters() *metrics.ShardCounters { return m.fastHits }
-
-// FastPathFallbackCounters exposes the per-shard fallback counters for
-// metrics wiring.
-func (m *Manager) FastPathFallbackCounters() *metrics.ShardCounters { return m.fastFallbacks }

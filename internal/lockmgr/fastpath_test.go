@@ -263,7 +263,7 @@ func TestPublishWholeHotSet(t *testing.T) {
 	m.ReleaseAll(a)
 	m.ReleaseAll(b)
 	for r := uint64(0); r < 200; r++ {
-		if _, ok := m.TryOptimisticRead(RowName(1, r), ModeS); !ok {
+		if _, ok := m.TryOptimisticRead(a.App(), RowName(1, r), ModeS); !ok {
 			t.Fatalf("row %d unpublished", r)
 		}
 	}
@@ -291,7 +291,7 @@ func TestPublishSharedHomeSlot(t *testing.T) {
 	publishRow(t, m, app, x)
 	publishRow(t, m, app, y)
 	for _, n := range []Name{x, y} {
-		if _, ok := m.TryOptimisticRead(n, ModeS); !ok {
+		if _, ok := m.TryOptimisticRead(app, n, ModeS); !ok {
 			t.Fatalf("%v unpublished", n)
 		}
 	}
@@ -310,11 +310,11 @@ func TestPublishBound(t *testing.T) {
 		publishRow(t, m, app, RowName(1, r))
 	}
 	for r := uint64(0); r < fastPublishMax; r++ {
-		if _, ok := m.TryOptimisticRead(RowName(1, r), ModeS); !ok {
+		if _, ok := m.TryOptimisticRead(app, RowName(1, r), ModeS); !ok {
 			t.Fatalf("row %d unpublished", r)
 		}
 	}
-	if _, ok := m.TryOptimisticRead(RowName(1, fastPublishMax), ModeS); ok {
+	if _, ok := m.TryOptimisticRead(app, RowName(1, fastPublishMax), ModeS); ok {
 		t.Fatalf("header %d published past the bound", fastPublishMax+1)
 	}
 	if err := m.CheckInvariants(); err != nil {

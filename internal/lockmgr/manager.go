@@ -938,7 +938,7 @@ type Stats struct {
 }
 
 // statCounters is the live, lock-free form of Stats. Grants, counted on
-// every admission, are per shard instead (Manager.grants).
+// every admission, are per application instead (Manager.grants).
 type statCounters struct {
 	waits                atomic.Int64
 	timeouts             atomic.Int64
@@ -1153,8 +1153,11 @@ type Manager struct {
 	numApps  atomic.Int64
 	// nextOwner numbers owners. Registration itself is on the owner's App
 	// (App.mu), so NewOwner and the release walk share no lock across
-	// applications.
+	// applications. Every NewOwner writes nextOwner, so it has a cache
+	// line of its own, away from contN, which every release reads.
+	_         [64]byte
 	nextOwner atomic.Uint64
+	_         [56]byte
 
 	// Deferred continuations (escalation steps and parked-request
 	// retries). Each latches the shards it touches itself, so the
@@ -1192,7 +1195,10 @@ type Manager struct {
 	// the "all latches held ⇒ world stopped" contract escalation and
 	// CheckInvariants rely on. fastHits/fastFallbacks count grants
 	// admitted without the latch vs. acquisitions that took the latched
-	// path (the two partition all acquisitions).
+	// path (the two partition all acquisitions). These, optHits,
+	// optFailures and grants are striped by the requester's application
+	// (metrics.ShardCounters.Writer), so a session counts only in cells
+	// it alone writes, and an application's counts outlive it.
 	fastGate      atomic.Int64
 	fastHits      *metrics.ShardCounters
 	fastFallbacks *metrics.ShardCounters
@@ -1221,9 +1227,7 @@ type Manager struct {
 	latchWaits *metrics.ShardCounters
 	latchAcqs  *metrics.ShardCounters
 
-	// grants counts granted requests per home shard (Stats.Grants is the
-	// sum), so no admission writes a counter another shard's admissions
-	// write.
+	// grants counts granted requests (Stats.Grants is the sum).
 	grants *metrics.ShardCounters
 
 	// Release-walk evidence. relBatches counts release batches applied per
@@ -1318,11 +1322,11 @@ func New(cfg Config) *Manager {
 		apps:           make(map[int]*App),
 		latchWaits:     metrics.NewShardCounters("lock table latch waits", ns),
 		latchAcqs:      metrics.NewShardCounters("lock table latch acquisitions", ns),
-		fastHits:       metrics.NewShardCounters("fast-path grants", ns),
-		fastFallbacks:  metrics.NewShardCounters("fast-path fallbacks", ns),
-		grants:         metrics.NewShardCounters("lock requests granted", ns),
-		optHits:        metrics.NewShardCounters("optimistic read tokens", ns),
-		optFailures:    metrics.NewShardCounters("optimistic validation failures", ns),
+		fastHits:       metrics.NewWriterCounters("fast-path grants"),
+		fastFallbacks:  metrics.NewWriterCounters("fast-path fallbacks"),
+		grants:         metrics.NewWriterCounters("lock requests granted"),
+		optHits:        metrics.NewWriterCounters("optimistic read tokens"),
+		optFailures:    metrics.NewWriterCounters("optimistic validation failures"),
 		relBatches:     metrics.NewShardCounters("release batches applied", ns),
 		wakesCoalesced: metrics.NewShardCounters("wakeups coalesced", ns),
 		throtCulled:    metrics.NewShardCounters("throttle culled waiters", ns),
@@ -1661,7 +1665,7 @@ func (m *Manager) acquireAsync(o *Owner, name Name, mode Mode, weight int, recyc
 	if fastEligible(mode) {
 		if p, _ := m.tryFastAcquire(o, name, mode, weight, hash, si, recyclable, sampled); p != nil {
 			if p == grantedSingleton {
-				m.fastHits.Shard(si).Inc()
+				m.fastHits.Writer(o.app.id).Inc()
 			}
 			if sampled {
 				m.admitHist.RecordStripe(si, time.Since(admit0).Nanoseconds())
@@ -1669,7 +1673,7 @@ func (m *Manager) acquireAsync(o *Owner, name Name, mode Mode, weight int, recyc
 			return p
 		}
 	}
-	m.fastFallbacks.Shard(si).Inc()
+	m.fastFallbacks.Writer(o.app.id).Inc()
 	// The request and its Pending are one allocation — and on a steady
 	// commit workload not even that: FinishOwner recycles the boxes of
 	// committed transactions into the owner's cache, and ReleaseAll into
@@ -2286,7 +2290,7 @@ func (m *Manager) grant(req *request) {
 // observes a granted request still counted as waiting, and an owner whose
 // ReleaseAll returns never sees its own granted request read as waiting.
 func (m *Manager) grantDeferred(req *request, d *releaseDrain) {
-	m.grants.Shard(int(req.hash & m.shardMask)).Inc()
+	m.grants.Writer(req.owner.app.id).Inc()
 	if m.flight != nil && !req.waitStart.IsZero() {
 		now := m.clk.Now()
 		m.flightRecord(m.shardOf(req.name), now, flightRec{kind: flightGrant, app: req.owner.app.id,

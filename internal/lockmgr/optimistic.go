@@ -78,18 +78,18 @@ package lockmgr
 import (
 	"runtime"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
 // OptToken is an epoch-stamped optimistic read token: evidence that mode
 // was admissible on its header when issued, validated (or refuted) by
-// ValidateOptimistic. The zero OptToken validates false.
+// ValidateOptimistic. The zero OptToken validates false. It keeps to four
+// fields, so the compiler passes it in registers.
 type OptToken struct {
 	h     *lockHeader
 	epoch uint64
 	mode  Mode
-	si    int32
+	app   int32 // the reading application's id, whose cell counts a failure
 }
 
 // Valid reports whether the token was issued (non-zero). It says nothing
@@ -109,12 +109,13 @@ func wordOptAdmit(w uint64, mode Mode) bool {
 }
 
 // TryOptimisticRead attempts to issue a zero-CAS optimistic read token for
-// mode (ModeS or ModeIS) on name. It performs no shared write beyond the
-// per-shard hit counter: no CAS, no holder-count increment, no owner or
+// mode (ModeS or ModeIS) on name, read by application a. It writes no
+// line another application writes: the hit is counted in a's own counter
+// cell, and there is no CAS, no holder-count increment, no owner or
 // credit mutation. ok == false means the caller must fall back to the
 // locking tiers (AcquireAsync: CAS fast path, then latched); nothing was
 // mutated.
-func (m *Manager) TryOptimisticRead(name Name, mode Mode) (OptToken, bool) {
+func (m *Manager) TryOptimisticRead(a *App, name Name, mode Mode) (OptToken, bool) {
 	if mode != ModeS && mode != ModeIS {
 		return OptToken{}, false
 	}
@@ -135,8 +136,8 @@ func (m *Manager) TryOptimisticRead(name Name, mode Mode) (OptToken, bool) {
 	if w&(wordLk|wordFence) != 0 || !wordOptAdmit(w, mode) {
 		return OptToken{}, false
 	}
-	m.optHits.Shard(si).Inc()
-	return OptToken{h: h, epoch: e, mode: mode, si: int32(si)}, true
+	m.optHits.Writer(a.id).Inc()
+	return OptToken{h: h, epoch: e, mode: mode, app: int32(a.id)}, true
 }
 
 // ValidateOptimistic closes an optimistic read window: it reports whether
@@ -164,10 +165,10 @@ func (m *Manager) ValidateOptimistic(t OptToken) bool {
 		runtime.Gosched()
 	}
 	if w&(wordLk|wordFence) != 0 || !wordOptAdmit(w, t.mode) || t.h.epoch.Load() != t.epoch {
-		m.optFailures.Shard(int(t.si)).Inc()
+		m.optFailures.Writer(int(t.app)).Inc()
 		// Blame the lock for the wasted optimistic read (latch-free — the
 		// sketch's CAS path tolerates racing validators).
-		m.hot.Observe(int(t.si), t.h.name, hotEventBlameNs, obs.HotOptFailures, 1)
+		m.hot.Observe(m.shardOf(t.h.name), t.h.name, hotEventBlameNs, obs.HotOptFailures, 1)
 		return false
 	}
 	return true
@@ -180,11 +181,3 @@ func (m *Manager) OptimisticHits() int64 { return m.optHits.Total() }
 // OptimisticFailures returns the cumulative number of optimistic read
 // tokens that failed validation. Lock-free.
 func (m *Manager) OptimisticFailures() int64 { return m.optFailures.Total() }
-
-// OptimisticHitCounters exposes the per-shard optimistic hit counters for
-// metrics wiring.
-func (m *Manager) OptimisticHitCounters() *metrics.ShardCounters { return m.optHits }
-
-// OptimisticFailureCounters exposes the per-shard validation-failure
-// counters for metrics wiring.
-func (m *Manager) OptimisticFailureCounters() *metrics.ShardCounters { return m.optFailures }

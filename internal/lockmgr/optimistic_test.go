@@ -27,7 +27,7 @@ func TestOptimisticTokenBasics(t *testing.T) {
 	publishTable(t, m, app, name)
 
 	hits0, fails0 := m.OptimisticHits(), m.OptimisticFailures()
-	tok, ok := m.TryOptimisticRead(name, ModeS)
+	tok, ok := m.TryOptimisticRead(app, name, ModeS)
 	if !ok || !tok.Valid() {
 		t.Fatal("optimistic S read refused on a quiescent published header")
 	}
@@ -54,7 +54,7 @@ func TestOptimisticTokenBasics(t *testing.T) {
 	// A fresh token over a quiet window validates, and validating it
 	// changes nothing — CheckInvariants still balances and a second
 	// validation still passes.
-	tok2, ok := m.TryOptimisticRead(name, ModeS)
+	tok2, ok := m.TryOptimisticRead(app, name, ModeS)
 	if !ok {
 		t.Fatal("optimistic S read refused after the header quiesced")
 	}
@@ -79,7 +79,7 @@ func TestOptimisticMissCases(t *testing.T) {
 	app := m.RegisterApp()
 
 	// Unpublished name: no token.
-	if _, ok := m.TryOptimisticRead(RowName(1, 99), ModeS); ok {
+	if _, ok := m.TryOptimisticRead(app, RowName(1, 99), ModeS); ok {
 		t.Fatal("token issued for an unpublished name")
 	}
 
@@ -88,7 +88,7 @@ func TestOptimisticMissCases(t *testing.T) {
 
 	// Non-read modes: no token.
 	for _, mode := range []Mode{ModeIX, ModeU, ModeX, ModeSIX, ModeNone} {
-		if _, ok := m.TryOptimisticRead(name, mode); ok {
+		if _, ok := m.TryOptimisticRead(app, name, mode); ok {
 			t.Fatalf("token issued for mode %v", mode)
 		}
 	}
@@ -96,10 +96,10 @@ func TestOptimisticMissCases(t *testing.T) {
 	// Fenced header (X held): no token in either read mode.
 	ox := m.NewOwner(app)
 	mustGrant(t, m.AcquireAsync(ox, name, ModeX, 1), "fencing X")
-	if _, ok := m.TryOptimisticRead(name, ModeS); ok {
+	if _, ok := m.TryOptimisticRead(app, name, ModeS); ok {
 		t.Fatal("S token issued under a granted X")
 	}
-	if _, ok := m.TryOptimisticRead(name, ModeIS); ok {
+	if _, ok := m.TryOptimisticRead(app, name, ModeIS); ok {
 		t.Fatal("IS token issued under a granted X")
 	}
 	m.ReleaseAll(ox)
@@ -107,10 +107,10 @@ func TestOptimisticMissCases(t *testing.T) {
 	// IX holder: S must be refused (S–IX conflict), IS admitted.
 	oix := m.NewOwner(app)
 	mustGrant(t, m.AcquireAsync(oix, name, ModeIX, 1), "IX holder")
-	if _, ok := m.TryOptimisticRead(name, ModeS); ok {
+	if _, ok := m.TryOptimisticRead(app, name, ModeS); ok {
 		t.Fatal("S token issued alongside a granted IX")
 	}
-	tok, ok := m.TryOptimisticRead(name, ModeIS)
+	tok, ok := m.TryOptimisticRead(app, name, ModeIS)
 	if !ok {
 		t.Fatal("IS token refused alongside a compatible IX")
 	}
@@ -133,7 +133,7 @@ func TestOptimisticInvalidatedByFastIX(t *testing.T) {
 	name := TableName(31)
 	publishTable(t, m, app, name)
 
-	tok, ok := m.TryOptimisticRead(name, ModeS)
+	tok, ok := m.TryOptimisticRead(app, name, ModeS)
 	if !ok {
 		t.Fatal("token refused on quiescent header")
 	}
@@ -177,7 +177,7 @@ func TestOptimisticSeqWraparound(t *testing.T) {
 		t.Fatal("header not published")
 	}
 
-	tok, ok := m.TryOptimisticRead(name, ModeS)
+	tok, ok := m.TryOptimisticRead(app, name, ModeS)
 	if !ok {
 		t.Fatal("token refused on quiescent header")
 	}
@@ -288,7 +288,7 @@ func TestOptimisticTornRead(t *testing.T) {
 		go func() {
 			defer readerWg.Done()
 			for !st.stopped() {
-				tok, ok := m.TryOptimisticRead(name, ModeS)
+				tok, ok := m.TryOptimisticRead(app, name, ModeS)
 				if !ok {
 					continue // fenced by a writer; the locking tiers would serve this read
 				}
@@ -329,4 +329,86 @@ func TestOptimisticTornRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("validated=%d invalidated=%d", validated.Load(), invalidated.Load())
+}
+
+// TestFunnelExactAcrossApps: three applications read published rows with
+// tokens and locks and write private rows in batches, concurrently, each
+// counting in its own cells. Every token and every acquisition lands in
+// exactly one funnel counter (optimistic hits + fast-path hits +
+// fallbacks) and every grant in Stats.Grants, and the totals stay exact
+// after an application unregisters and the others carry on.
+func TestFunnelExactAcrossApps(t *testing.T) {
+	m := newMgr(Config{Shards: 4})
+	apps := []*App{m.RegisterApp(), m.RegisterApp(), m.RegisterApp()}
+	shared := []Name{TableName(1)}
+	publishTable(t, m, apps[0], shared[0])
+	for r := uint64(0); r < 8; r++ {
+		shared = append(shared, RowName(1, r))
+		publishRow(t, m, apps[0], shared[r+1])
+	}
+	tokens0, admits0, grants0 := m.OptimisticHits(), m.FastPathHits()+m.FastPathFallbacks(), m.Stats().Grants
+	var tokens, admits atomic.Int64
+	round := func(apps []*App) {
+		var wg sync.WaitGroup
+		for _, app := range apps {
+			wg.Add(1)
+			go func(app *App) {
+				defer wg.Done()
+				ctx := context.Background()
+				for i := 0; i < 200; i++ {
+					o := m.NewOwner(app)
+					for j, name := range shared {
+						mode := ModeS
+						if j == 0 {
+							mode = ModeIS
+						}
+						if i%2 == 0 {
+							if tok, ok := m.TryOptimisticRead(app, name, mode); ok {
+								tokens.Add(1)
+								m.ValidateOptimistic(tok)
+								continue
+							}
+						}
+						admits.Add(1)
+						if err := m.Acquire(ctx, o, name, mode, 1); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					rows := []uint64{uint64(app.ID()) << 20, uint64(app.ID())<<20 | uint64(i+1)}
+					admits.Add(1 + int64(len(rows)))
+					if err := m.Acquire(ctx, o, TableName(2), ModeIX, 1); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := m.AcquireRows(ctx, o, 2, rows, ModeX); err != nil {
+						t.Error(err)
+						return
+					}
+					m.FinishOwner(o)
+				}
+			}(app)
+		}
+		wg.Wait()
+		if tokens.Load() == 0 {
+			t.Fatal("no read token issued: the funnel's token tier is untested")
+		}
+		if got := m.OptimisticHits() - tokens0; got != tokens.Load() {
+			t.Fatalf("optimistic hits %d, want %d tokens issued", got, tokens.Load())
+		}
+		if got := m.FastPathHits() + m.FastPathFallbacks() - admits0; got != admits.Load() {
+			t.Fatalf("fast-path hits + fallbacks %d, want %d acquisitions", got, admits.Load())
+		}
+		if got := m.Stats().Grants - grants0; got != admits.Load() {
+			t.Fatalf("grants %d, want %d acquisitions", got, admits.Load())
+		}
+	}
+	round(apps)
+	if err := m.UnregisterApp(apps[1]); err != nil {
+		t.Fatal(err)
+	}
+	round([]*App{apps[0], apps[2]})
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

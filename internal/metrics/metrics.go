@@ -11,6 +11,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -77,12 +78,13 @@ func (g *MaxGauge) Value() int64 { return g.v.Load() }
 // Reset clears the gauge and returns the maximum it held.
 func (g *MaxGauge) Reset() int64 { return g.v.Swap(0) }
 
-// ShardCounters is a fixed-width array of counters, one per shard of a
-// striped data structure (e.g. the lock manager's latch-wait counts). Each
-// shard's counter is padded to a cache line of its own, so sessions working
-// in different shards never write the same line; readers aggregate with
-// Total or inspect the distribution with Values. All methods are safe for
-// concurrent use.
+// ShardCounters is a fixed-width array of counters, one cell per writer.
+// A writer is whoever adds to a cell: an application, by its id (Writer),
+// or a lock shard, whose latch the adder holds (Shard). Each cell is padded
+// to a cache line of its own, so writers on different cores never write
+// the same line; readers aggregate with Total, exact once the writers are
+// quiescent, or inspect the distribution with Values. All methods are safe
+// for concurrent use.
 type ShardCounters struct {
 	name string
 	cs   []paddedCounter
@@ -95,24 +97,39 @@ type paddedCounter struct {
 	_ [56]byte
 }
 
-// NewShardCounters creates a counter per shard. shards must be positive.
-func NewShardCounters(name string, shards int) *ShardCounters {
-	if shards < 1 {
-		shards = 1
+// NewShardCounters creates n cells. n must be positive.
+func NewShardCounters(name string, n int) *ShardCounters {
+	if n < 1 {
+		n = 1
 	}
-	return &ShardCounters{name: name, cs: make([]paddedCounter, shards)}
+	return &ShardCounters{name: name, cs: make([]paddedCounter, n)}
+}
+
+// NewWriterCounters creates cells for Writer: a power of two of them, four
+// per GOMAXPROCS between 8 and 64, so sessions with consecutive ids running
+// at once write distinct cells.
+func NewWriterCounters(name string) *ShardCounters {
+	n := 8
+	for n < 4*runtime.GOMAXPROCS(0) && n < 64 {
+		n *= 2
+	}
+	return NewShardCounters(name, n)
 }
 
 // Name returns the collection's name.
 func (s *ShardCounters) Name() string { return s.name }
 
-// Len returns the number of shards.
+// Len returns the number of cells.
 func (s *ShardCounters) Len() int { return len(s.cs) }
 
-// Shard returns the counter for one shard.
+// Shard returns cell i, for the writer that holds shard i's latch.
 func (s *ShardCounters) Shard(i int) *Counter { return &s.cs[i].Counter }
 
-// Total returns the sum across all shards.
+// Writer returns the cell of the writer with the given id: the id's low
+// bits, so the cell count must be a power of two (NewWriterCounters).
+func (s *ShardCounters) Writer(id int) *Counter { return &s.cs[id&(len(s.cs)-1)].Counter }
+
+// Total returns the sum across all cells.
 func (s *ShardCounters) Total() int64 {
 	var t int64
 	for i := range s.cs {
@@ -121,7 +138,7 @@ func (s *ShardCounters) Total() int64 {
 	return t
 }
 
-// Values returns a snapshot of every shard's count.
+// Values returns a snapshot of every cell's count.
 func (s *ShardCounters) Values() []int64 {
 	out := make([]int64, len(s.cs))
 	for i := range s.cs {

@@ -2,9 +2,12 @@ package txn
 
 // ReadOnly transactions over the lock manager's zero-CAS optimistic read
 // tier. A ReadOnly transaction's reads acquire epoch-stamped tokens
-// instead of locks: nothing is written to any shared line, no lock
-// structure is consumed, and commit validates every token against its
-// header's epoch. Validation failure means some writer (or fence, or a
+// instead of locks: a read writes no line another session writes — it
+// counts in its application's own counter cells and appends to the
+// transaction's token buffer — no lock structure is consumed, and commit
+// validates every token against its header's epoch. What the transaction
+// still shares is its lock owner's number, drawn from the lock manager's
+// one owner-id counter at Begin (owner ids order deadlock victims). Validation failure means some writer (or fence, or a
 // settle-seq wrap) intervened inside a read window — the transaction
 // aborts with ErrReadInvalidated and the caller reruns it; RunReadOnly
 // packages that retry loop with a bounded backoff and a final fallback to
@@ -43,12 +46,12 @@ func (t *Txn) readOptimisticRow(table storage.TableID, row uint64) (tableTok, ro
 	locks := t.mgr.locks
 	if t.tokTableOK && t.tokTable == uint32(table) {
 		tableTok = lockmgr.OptToken{} // already stamped this table's IS
-	} else if tok, ok := locks.TryOptimisticRead(lockmgr.TableName(uint32(table)), lockmgr.ModeIS); ok {
+	} else if tok, ok := locks.TryOptimisticRead(t.owner.App(), lockmgr.TableName(uint32(table)), lockmgr.ModeIS); ok {
 		tableTok = tok
 	} else {
 		return lockmgr.OptToken{}, lockmgr.OptToken{}, false
 	}
-	rowTok, ok := locks.TryOptimisticRead(lockmgr.RowName(uint32(table), row), lockmgr.ModeS)
+	rowTok, ok := locks.TryOptimisticRead(t.owner.App(), lockmgr.RowName(uint32(table), row), lockmgr.ModeS)
 	if !ok {
 		// The table token (if any) is simply dropped: an unvalidated token
 		// mutated nothing and needs no release.

@@ -17,9 +17,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/lockmgr"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 )
 
@@ -51,28 +51,35 @@ func (s State) String() string {
 // ErrNotActive is returned when locking on a finished transaction.
 var ErrNotActive = errors.New("txn: transaction not active")
 
-// Manager creates transactions bound to a lock manager. The counters are
-// atomics: Begin and commit/abort sit on the transaction fast path, and a
-// shared mutex there would serialize exactly the commits the touched-shard
-// release walk just unserialized.
+// Manager creates transactions bound to a lock manager. Begin and
+// commit/abort sit on the transaction fast path, so each counts in the
+// cell of the transaction's application (metrics.ShardCounters.Writer):
+// sessions on different cores write no common counter line.
 type Manager struct {
 	locks *lockmgr.Manager
 
-	active  atomic.Int64
-	commits atomic.Int64
-	aborts  atomic.Int64
+	begins  *metrics.ShardCounters
+	commits *metrics.ShardCounters
+	aborts  *metrics.ShardCounters
 }
 
 // NewManager returns a transaction manager over the given lock manager.
 func NewManager(locks *lockmgr.Manager) *Manager {
-	return &Manager{locks: locks}
+	return &Manager{
+		locks:   locks,
+		begins:  metrics.NewWriterCounters("transactions begun"),
+		commits: metrics.NewWriterCounters("transactions committed"),
+		aborts:  metrics.NewWriterCounters("transactions aborted"),
+	}
 }
 
-// Stats returns cumulative commits and aborts and the active count. The
-// three loads are independent atomics, so the triple is fuzzy — fine for
-// monitoring, which is its only caller.
+// Stats returns cumulative commits and aborts and the active count, the
+// transactions begun and not yet finished. The sums are exact once the
+// sessions are quiescent and fuzzy under traffic — fine for monitoring,
+// which is their only caller.
 func (m *Manager) Stats() (commits, aborts int64, active int) {
-	return m.commits.Load(), m.aborts.Load(), int(m.active.Load())
+	commits, aborts = m.commits.Total(), m.aborts.Total()
+	return commits, aborts, int(m.begins.Total() - commits - aborts)
 }
 
 // Txn is one transaction. Not safe for concurrent use by multiple
@@ -97,7 +104,7 @@ type Txn struct {
 
 // Begin starts a transaction for the given application.
 func (m *Manager) Begin(app *lockmgr.App) *Txn {
-	m.active.Add(1)
+	m.begins.Writer(app.ID()).Inc()
 	return &Txn{mgr: m, owner: m.locks.NewOwner(app)}
 }
 
@@ -115,14 +122,14 @@ func (t *Txn) finish(to State, committed bool) {
 		return
 	}
 	t.state = to
+	app := t.owner.App().ID()
 	// finish runs at most once (state guard) and the Txn owns its lock
 	// owner exclusively, so the owner can be handed back for recycling.
 	t.mgr.locks.FinishOwner(t.owner)
-	t.mgr.active.Add(-1)
 	if committed {
-		t.mgr.commits.Add(1)
+		t.mgr.commits.Writer(app).Inc()
 	} else {
-		t.mgr.aborts.Add(1)
+		t.mgr.aborts.Writer(app).Inc()
 	}
 }
 
@@ -150,7 +157,7 @@ func (t *Txn) LockTable(ctx context.Context, table storage.TableID, mode lockmgr
 		if mode != lockmgr.ModeS && mode != lockmgr.ModeIS {
 			return ErrReadOnlyWrite
 		}
-		if tok, ok := t.mgr.locks.TryOptimisticRead(lockmgr.TableName(uint32(table)), mode); ok {
+		if tok, ok := t.mgr.locks.TryOptimisticRead(t.owner.App(), lockmgr.TableName(uint32(table)), mode); ok {
 			t.tokens = append(t.tokens, tok)
 			return nil
 		}

@@ -503,7 +503,7 @@ func benchDSSScan(b *testing.B, g int) {
 					if j == 0 {
 						mode = lockmgr.ModeIS
 					}
-					if tok, hit := m.TryOptimisticRead(name, mode); hit {
+					if tok, hit := m.TryOptimisticRead(app, name, mode); hit {
 						toks = append(toks, tok)
 					} else if err := m.Acquire(ctx, o, name, mode, 1); err != nil {
 						b.Error(err)
