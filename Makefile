@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test allocs race hammer flake ci check-bench bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
+.PHONY: all build test allocs race hammer flake ci check-bench bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-throttle obs-demo verify fmt vet
 
 all: build
 
@@ -19,13 +19,12 @@ allocs:
 	$(GO) test -timeout 180s -run '^TestTransactionAllocations$$' -count=3 ./internal/lockmgr
 
 # Race-detector runs for the concurrency-sensitive packages: the sharded
-# lock table, its spin-then-park shard latch, its block-chain lease pools,
-# the engine facade that exposes the latch-free snapshot path, the
-# lock-free observability primitives (striped histograms, decision log),
-# the event ring, the transaction layer (optimistic read tokens validated
-# against concurrent writers), and the buffer pool with the flat hash table
-# that indexes it and the lock table.
-RACE_PKGS = ./internal/latch ./internal/lockmgr ./internal/memblock \
+# lock table, its block-chain lease pools, the engine facade that exposes
+# the latch-free snapshot path, the lock-free observability primitives
+# (striped histograms, decision log), the event ring, the transaction layer
+# (optimistic read tokens validated against concurrent writers), and the
+# buffer pool with the flat hash table that indexes it and the lock table.
+RACE_PKGS = ./internal/lockmgr ./internal/memblock \
 	./internal/engine ./internal/obs ./internal/trace ./internal/txn \
 	./internal/bufferpool ./internal/flathash
 race:
@@ -138,23 +137,6 @@ bench-read:
 	BENCH_JSON=$${BENCH_JSON:-BENCH_READPATH_OPTIMISTIC.json} \
 		$(GO) test -run xxx -bench 'BenchmarkLockScalability/(readmostly|dss)' -benchtime 1s .
 
-# bench-latch runs the shard-latch A/B (hotkey + commitstorm + readmostly
-# at 16/64 goroutines) twice: once with a fixed 64-spin budget (the naive
-# fixed-spin latch, LATCH_SPIN=64) into BENCH_LATCH_BASELINE.json, once
-# under the adaptive controller (LATCH_SPIN unset) into
-# BENCH_LATCH_ADAPTIVE.json. The pinned iteration count means both legs do
-# identical work (work-for-work comparison, no go-bench sizing probes),
-# and -count 3 emits three independent runs per shape — contended waits on
-# a loaded box are scheduler-quantized and run-to-run noisy, so compare
-# pooled means (sum of mean_wait_ns×contended over sum of contended), not
-# single rows. EXPERIMENTS.md records the acceptance numbers.
-bench-latch:
-	rm -f BENCH_LATCH_BASELINE.json BENCH_LATCH_ADAPTIVE.json
-	BENCH_JSON=BENCH_LATCH_BASELINE.json LATCH_SPIN=64 \
-		$(GO) test -run xxx -bench BenchmarkLatchContention -benchtime 3000000x -count 3 .
-	BENCH_JSON=BENCH_LATCH_ADAPTIVE.json \
-		$(GO) test -run xxx -bench BenchmarkLatchContention -benchtime 3000000x -count 3 .
-
 # bench-throttle runs the admission-throttle collapse-curve A/B: one hot
 # exclusive lock swept over g=16..256 with the control plane (timeout
 # sweep, deadlock detector, throttle retune) ticking concurrently.
@@ -202,7 +184,8 @@ smoke-commit:
 # hot lock), /debug/waiters must have observed a wait edge ("holder"
 # proves a live blocked-on row), and /debug/flight must serve a wait record
 # rendered to text (a "Detail" with depth= proves the flight recorder's
-# format-on-read reaches HTTP). The run then prints the -profile report.
+# format-on-read reaches HTTP), and /metrics must serve the per-shard
+# shard-latch wait counters. The run then prints the -profile report.
 smoke-profile: build
 	@set -e; \
 	$(GO) run ./cmd/workbench -workload commitstorm -clients 64 -ticks 2500 \
@@ -213,29 +196,13 @@ smoke-profile: build
 		sleep 0.5; \
 		if curl -sf http://127.0.0.1:8373/debug/hotlocks | grep -q '"name"' \
 		&& curl -sf http://127.0.0.1:8373/debug/waiters | grep -q '"holder"' \
-		&& curl -sf 'http://127.0.0.1:8373/debug/flight?last=50' | grep -q '"Detail": *"[^"]*depth='; then \
+		&& curl -sf 'http://127.0.0.1:8373/debug/flight?last=50' | grep -q '"Detail": *"[^"]*depth=' \
+		&& curl -sf http://127.0.0.1:8373/metrics | grep -q 'lockmem_latch_waits_total{shard="0"}'; then \
 			ok=1; break; \
 		fi; \
 	done; \
-	if [ -z "$$ok" ]; then echo "smoke-profile: no hot lock + wait edge + flight wait observed"; kill $$pid 2>/dev/null; exit 1; fi; \
-	echo "smoke-profile: hot locks + wait edges + flight waits OK"; \
-	wait $$pid
-
-# smoke-latch runs the workbench commitstorm workload with the HTTP
-# surface up and asserts the spin-then-park latch counters are on
-# /metrics: the three lockmem_latch_{spins,parks,handoffs}_total families
-# must be served per shard (values may be zero mid-run — the assertion is
-# that the instrumented latch is wired into the exposition, not that the
-# sim contends).
-smoke-latch: build
-	@set -e; \
-	$(GO) run ./cmd/workbench -workload commitstorm -clients 64 -ticks 400 \
-		-chart=false -events 0 -http 127.0.0.1:8374 -serve-for 5s >/dev/null & \
-	pid=$$!; sleep 3; \
-	curl -sf http://127.0.0.1:8374/metrics | grep -m1 'lockmem_latch_spins_total{shard="0"}'; \
-	curl -sf http://127.0.0.1:8374/metrics | grep -m1 'lockmem_latch_parks_total{shard="0"}'; \
-	curl -sf http://127.0.0.1:8374/metrics | grep -m1 'lockmem_latch_handoffs_total{shard="0"}'; \
-	echo "smoke-latch: latch counters OK"; \
+	if [ -z "$$ok" ]; then echo "smoke-profile: no hot lock + wait edge + flight wait + latch-wait family observed"; kill $$pid 2>/dev/null; exit 1; fi; \
+	echo "smoke-profile: hot locks + wait edges + flight waits + latch waits OK"; \
 	wait $$pid
 
 # smoke-throttle is the admission throttle's verify gate: a brief hot-lock
@@ -265,10 +232,9 @@ obs-demo: build
 # full test suite, the allocation test alone, the race-detector pass over
 # the concurrency-sensitive packages, and one-iteration smoke runs of the
 # read-path benches, the commit path's deferred wake pass, the contention
-# profiler's live endpoints, the spin-then-park latch counters on
-# /metrics, and the admission throttle's queue order; plus
+# profiler's live endpoints, and the admission throttle's queue order; plus
 # vet and the short tests of the nested bench module.
-verify: fmt vet build test allocs race hammer check-bench smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle
+verify: fmt vet build test allocs race hammer check-bench smoke-read smoke-commit smoke-profile smoke-throttle
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -71,8 +71,6 @@ func main() {
 			"workload shape: oltp | readmostly (90% S/IS on a shared hot set, 10% X — the latch-free admission regime) | dss (≥99% S reporting scans over a shared hot set — the zero-CAS optimistic regime) | commitstorm (short X transactions confined to a few hot shards — the commit-latch regime)")
 		minCoalesced = flag.Int64("min-coalesced", -1,
 			"exit 1 unless the run coalesced at least this many grant wakeups (-1 disables; smoke-test hook)")
-		latchSpin = flag.Int("latch-spin", 0,
-			"shard-latch spin budget: 0 = adaptive controller, <0 = park immediately, n>0 = fixed budget")
 		throttle = flag.Int("throttle", 0,
 			"admission-throttle concurrency ceiling: 0 = adaptive controller, <0 = disabled, n>0 = fixed ceiling")
 		readonly = flag.Bool("readonly", false,
@@ -116,7 +114,6 @@ func main() {
 		StaticQuotaPct:   *maxlocks,
 		Clock:            clk,
 		LockTimeout:      60 * time.Second,
-		LatchSpin:        *latchSpin,
 		Throttle:         *throttle,
 	})
 	if err != nil {
@@ -229,11 +226,6 @@ func main() {
 	if snap.LockReleaseBatches > 0 {
 		fmt.Printf("release walk      %d batches, %d wakeups coalesced\n",
 			snap.LockReleaseBatches, snap.LockWakeupsCoalesced)
-	}
-	if contended := snap.LockLatchSpins + snap.LockLatchParks; contended > 0 {
-		fmt.Printf("latch contention  %d contended acquires (%.1f%% spin-won), %d parks, %d handoffs\n",
-			contended, 100*float64(snap.LockLatchSpins)/float64(contended),
-			snap.LockLatchParks, snap.LockLatchHandoffs)
 	}
 	if snap.LockThrottleCulled > 0 {
 		fmt.Printf("admission throttle %d waiters queued behind the ceiling, ceiling %d\n",

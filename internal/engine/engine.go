@@ -115,10 +115,6 @@ type Config struct {
 	// (hot-lock sketch, flight recorder, latch profile) off; see
 	// lockmgr.Config.ProfileDisabled.
 	ProfileDisabled bool
-	// LatchSpin overrides the shard latches' spin policy; see
-	// lockmgr.Config.LatchSpin (0 = adaptive controller, >0 = fixed spin
-	// budget, <0 = park immediately).
-	LatchSpin int
 	// Throttle configures the admission throttle's queue order; see
 	// lockmgr.Config.Throttle (0 = adaptive ceilings retuned on the STMM
 	// cadence, >0 = fixed ceiling, <0 = disabled: plain FIFO queues).
@@ -236,7 +232,6 @@ func Open(cfg Config) (*Database, error) {
 		Shards:          cfg.LockShards,
 		ObsSampleStride: cfg.ObsSampleStride,
 		ProfileDisabled: cfg.ProfileDisabled,
-		LatchSpin:       cfg.LatchSpin,
 		Throttle:        cfg.Throttle,
 	}
 
@@ -266,9 +261,6 @@ func Open(cfg Config) (*Database, error) {
 	}
 
 	db.locks = lockmgr.New(lockCfg)
-	// Latch spin-budget retunes are tuning decisions like any other: route
-	// them into the same decision log so /debug/tuner can replay them.
-	db.locks.SetLatchDecisionLog(db.decis)
 	db.locks.SetThrottleDecisionLog(db.decis)
 	db.txns = txn.NewManager(db.locks)
 
@@ -533,15 +525,6 @@ type Snapshot struct {
 	// a post-walk pass.
 	LockReleaseBatches   int64
 	LockWakeupsCoalesced int64
-	// LockLatchSpins counts contended shard-latch acquisitions won in the
-	// spin phase of the spin-then-park latch; LockLatchParks counts those
-	// that parked on the latch's condition instead; LockLatchHandoffs
-	// counts unlocks that signalled a parked waiter. Spins + parks is the
-	// contended-acquire total the adaptive spin-budget controller tunes
-	// against (LockLatchWaits remains the profiler's sampled view).
-	LockLatchSpins    int64
-	LockLatchParks    int64
-	LockLatchHandoffs int64
 	// LockThrottleCulled counts waiters the admission throttle queued
 	// behind a ceiling, newest-first. LockThrottleCeiling is the highest
 	// engaged per-shard ceiling (0 = fully disengaged).
@@ -577,9 +560,6 @@ func (db *Database) Snapshot() Snapshot {
 		LockOptimisticFailures: db.locks.OptimisticFailures(),
 		LockReleaseBatches:     db.locks.ReleaseBatches(),
 		LockWakeupsCoalesced:   db.locks.WakeupsCoalesced(),
-		LockLatchSpins:         db.locks.LatchSpinHits(),
-		LockLatchParks:         db.locks.LatchParks(),
-		LockLatchHandoffs:      db.locks.LatchHandoffs(),
 		LockThrottleCulled:     db.locks.ThrottleCulled(),
 		LockThrottleCeiling:    db.locks.ThrottleCeilingMax(),
 		Overflow:               mem.Overflow,

@@ -153,17 +153,6 @@ func (db *Database) WriteMetrics(m *obs.MetricWriter) {
 	m.CounterVec("lockmem_latch_waits_total", "contended shard-latch acquisitions", "shard",
 		db.locks.LatchWaitCounters().Values())
 
-	// Spin-then-park latch outcomes: contended acquires won by spinning vs
-	// parked on the latch condition, and unlocks that signalled a parked
-	// waiter. spins/(spins+parks) is the adaptive spin controller's live
-	// success rate; budgets themselves are replayable from the decision log.
-	m.CounterVec("lockmem_latch_spins_total", "contended shard-latch acquires won in the spin phase", "shard",
-		db.locks.LatchSpinHitValues())
-	m.CounterVec("lockmem_latch_parks_total", "contended shard-latch acquires parked on the latch condition", "shard",
-		db.locks.LatchParkValues())
-	m.CounterVec("lockmem_latch_handoffs_total", "shard-latch unlocks signalling a parked waiter", "shard",
-		db.locks.LatchHandoffValues())
-
 	// Latch-free admission fast path: hits (grant-word CAS admissions plus
 	// owner-local re-acquire cache hits) vs fallbacks to the latched
 	// admission path. Hits + fallbacks partition all acquisitions.

@@ -23,6 +23,11 @@ package lockmgr
 // skipped; stale snapshot entries cost a latch acquisition, never
 // correctness.
 
+import (
+	"cmp"
+	"slices"
+)
+
 // escalate promotes o's row locks on its most structure-hungry table.
 // parked, if non-nil, is the request that triggered escalation; it is
 // retried after the escalation completes. Returns false when there is
@@ -116,7 +121,7 @@ func (m *Manager) escalate(o *Owner, parked *request) bool {
 // freeEscalatedRows releases every row lock o holds on the table; the
 // escalated table lock now covers them. It runs as a continuation with no
 // latches held: the table's rows are picked out of the held index under
-// o.mu, grouped by home shard, and every row is re-validated under its
+// o.mu, sorted by home shard, and every row is re-validated under its
 // shard's latch (plus o.mu for the index read) before release — rows the
 // owner released or converted in the meantime are skipped.
 func (m *Manager) freeEscalatedRows(o *Owner, table uint32) {
@@ -146,13 +151,20 @@ func (m *Manager) freeEscalatedRows(o *Owner, table uint32) {
 		return
 	}
 
-	// Group by home shard so each shard is latched once.
-	byShard := make(map[int][]rowSnap)
-	for _, e := range rows {
-		i := int(e.hash & m.shardMask)
-		byShard[i] = append(byShard[i], e)
-	}
-	for i, batch := range byShard {
+	// Walk the rows in ascending home-shard order, so each shard is
+	// latched once and the latch order (and the order wakes fire in) is
+	// the same on every run.
+	slices.SortFunc(rows, func(a, b rowSnap) int {
+		return cmp.Or(cmp.Compare(a.hash&m.shardMask, b.hash&m.shardMask), cmp.Compare(a.row, b.row))
+	})
+	for len(rows) > 0 {
+		i := int(rows[0].hash & m.shardMask)
+		n := 1
+		for n < len(rows) && int(rows[n].hash&m.shardMask) == i {
+			n++
+		}
+		batch := rows[:n]
+		rows = rows[n:]
 		s := m.lockShard(i)
 		// Re-validate under the latch: a row request's granted/converting
 		// state and its held membership only change under its home shard

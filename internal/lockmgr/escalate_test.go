@@ -341,3 +341,37 @@ func TestParkedRetryQueuesAsWaiter(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFreeEscalatedRowsLatchesEachShardOnce runs the escalation release
+// continuation over rows spread across several shards: every row must be
+// released, and each home shard latched exactly once.
+func TestFreeEscalatedRowsLatchesEachShardOnce(t *testing.T) {
+	const table, n = 3, 64
+	m := New(Config{InitialPages: 1024, Shards: 8})
+	o := m.NewOwner(m.RegisterApp())
+	acquireRows(t, m, o, table, ModeX, n)
+	homes := make(map[int]bool)
+	for r := uint64(0); r < n; r++ {
+		homes[m.shardOf(RowName(table, r))] = true
+	}
+	if len(homes) < 2 {
+		t.Fatalf("rows homed on %d shard(s), want several", len(homes))
+	}
+
+	before := m.LatchAcquisitions()
+	m.freeEscalatedRows(o, table)
+	if d := m.LatchAcquisitions() - before; d != int64(len(homes)) {
+		t.Fatalf("release latched %d shards, want %d (one per home shard)", d, len(homes))
+	}
+	for r := uint64(0); r < n; r++ {
+		if mode := m.HeldMode(o, RowName(table, r)); mode != ModeNone {
+			t.Fatalf("row %d still held in %v after release", r, mode)
+		}
+	}
+	if mode := m.HeldMode(o, TableName(table)); mode != ModeIX {
+		t.Fatalf("table intent lock = %v, want IX", mode)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -149,7 +149,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/flathash"
-	"repro/internal/latch"
 	"repro/internal/memblock"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -391,16 +390,6 @@ type Config struct {
 	// uncontended atomic adds per contention event, benchmarked under 3%
 	// (see bench-obs-profiler).
 	ProfileDisabled bool
-	// LatchSpin overrides the shard-latch spin policy. 0 (the default)
-	// enables the adaptive per-shard controller: each latch's spin
-	// budget is retuned from its sampled hold times and spin outcomes,
-	// collapsing to 0 on a single P or when spinners outnumber P's.
-	// A positive value pins every shard latch to that fixed spin budget
-	// (clamped to latch.BudgetCap) — the experimental control for A/B
-	// runs, which also bypasses the adaptive guards so the budget is
-	// spent exactly as configured. A negative value pins the budget to 0
-	// (park immediately, the stock sync.Mutex-like behaviour).
-	LatchSpin int
 	// Throttle configures the admission throttle's queue order
 	// (throttle.go). 0 (the default) enables the adaptive controller:
 	// per-shard ceilings engage only when RetuneThrottle — driven on the
@@ -959,13 +948,11 @@ const boxFreelistCap = 64
 
 // shard is one stripe of the lock table.
 type shard struct {
-	// mu is the shard latch: an adaptive spin-then-park latch
-	// (internal/latch) whose per-shard spin budget is retuned from the
-	// sampled hold times unlockShard feeds it. Acquire through lockShard
-	// (it runs the profiler bookkeeping); raw s.mu.Unlock() remains
-	// correct everywhere a paired unlockShard is not wanted (runGlobal's
-	// descending sweep, deadlock validation).
-	mu    latch.Latch
+	// mu is the shard latch. Acquire through lockShard (it counts the
+	// acquisition and runs the profiler bookkeeping); raw s.mu.Unlock()
+	// remains correct everywhere a paired unlockShard is not wanted
+	// (runGlobal's descending sweep, deadlock validation).
+	mu    sync.Mutex
 	idx   int                         // position in Manager.shards; set once at New
 	table flathash.Table[*lockHeader] // by hashName(name)
 
@@ -1356,13 +1343,6 @@ func New(cfg Config) *Manager {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.idx = i
-		s.mu.Init()
-		switch {
-		case cfg.LatchSpin > 0:
-			s.mu.SetFixedBudget(cfg.LatchSpin)
-		case cfg.LatchSpin < 0:
-			s.mu.SetFixedBudget(0)
-		}
 		s.pool = m.chain.NewPool(cfg.LeaseChunk)
 		if cfg.Throttle > 0 {
 			s.throtCeil.Store(int32(min(cfg.Throttle, throttleCeilMax)))
@@ -1396,23 +1376,24 @@ func (m *Manager) shardFor(name Name) *shard {
 }
 
 // lockShard latches shard i, counting every acquisition (latchAcqs) and
-// contended acquisitions (latchWaits) separately. The unconditional count
-// is one atomic add on the shard's own cache line (metrics.ShardCounters
-// pads each element to one); it is what lets tests and benchmarks prove how
-// many latches an operation really took.
+// contended acquisitions (latchWaits) separately. An acquisition is
+// contended when TryLock fails; only that path is timed into the latch
+// profile, so the two clock reads stay off the uncontended one. The
+// unconditional count is one atomic add on the shard's own cache line
+// (metrics.ShardCounters pads each element to one); it is what lets tests
+// and benchmarks prove how many latches an operation really took.
 func (m *Manager) lockShard(i int) *shard {
 	s := &m.shards[i]
 	m.latchAcqs.Shard(i).Inc()
-	if lp := m.latchProf; lp != nil {
-		// LockProfiled times only the contended path: the goroutine is
-		// about to spin or park anyway, so the two clock reads are not
-		// on any fast path.
-		if waitNs, contended := s.mu.LockProfiled(); contended {
-			m.latchWaits.Shard(i).Inc()
-			lp.RecordWait(i, waitNs)
-		}
-	} else if s.mu.Lock() {
+	if !s.mu.TryLock() {
 		m.latchWaits.Shard(i).Inc()
+		if lp := m.latchProf; lp != nil {
+			t0 := time.Now()
+			s.mu.Lock()
+			lp.RecordWait(i, time.Since(t0).Nanoseconds())
+		} else {
+			s.mu.Lock()
+		}
 	}
 	m.stampLatchAcquire(s)
 	return s
@@ -1436,16 +1417,12 @@ func (m *Manager) stampLatchAcquire(s *shard) {
 }
 
 // unlockShard releases a latch taken by lockShard, recording the sampled
-// hold time when this acquisition was the one-in-stride stamped one — into
-// the latch profile and, as the same sample, into the latch's own hold
-// EWMA, which is what its adaptive spin budget retunes from. The paired
-// form is diagnostics only: raw s.mu.Unlock() remains correct everywhere
-// (the sample is simply dropped).
+// hold time into the latch profile when this acquisition was the
+// one-in-stride stamped one. The paired form is diagnostics only: raw
+// s.mu.Unlock() remains correct everywhere (the sample is simply dropped).
 func (m *Manager) unlockShard(s *shard) {
 	if lp := m.latchProf; lp != nil && !s.holdT0.IsZero() {
-		ns := time.Since(s.holdT0).Nanoseconds()
-		lp.RecordHold(s.idx, ns)
-		s.mu.NoteHold(ns)
+		lp.RecordHold(s.idx, time.Since(s.holdT0).Nanoseconds())
 		s.holdT0 = time.Time{}
 	}
 	s.mu.Unlock()

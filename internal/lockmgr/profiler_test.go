@@ -3,6 +3,7 @@ package lockmgr
 import (
 	"encoding/json"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -464,6 +465,42 @@ func TestLatchProfileSampling(t *testing.T) {
 	m.ReleaseAll(o)
 	if got := lp.MergedHold().Total; got == 0 {
 		t.Fatal("no latch holds sampled after 1000 latched acquisitions")
+	}
+}
+
+// TestLockShardContended drives lockShard's contended path on purpose: the
+// test holds shard 1's mutex while a goroutine latches it, so the
+// goroutine's TryLock must fail. It waits on the wait counter rather than a
+// clock, then checks that exactly one wait sample landed in shard 1's
+// latch profile and that the goroutine counted exactly one acquisition.
+func TestLockShardContended(t *testing.T) {
+	const i = 1
+	m := New(Config{InitialPages: 64, Shards: 2})
+	lp := m.LatchProfile()
+	acqs := m.LatchAcqCounters().Values()[i]
+	s := &m.shards[i]
+	s.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		m.unlockShard(m.lockShard(i))
+		close(done)
+	}()
+	for m.LatchWaits() != 1 {
+		runtime.Gosched()
+	}
+	s.mu.Unlock()
+	<-done
+	if got := lp.Wait(i).Total; got != 1 {
+		t.Fatalf("shard %d wait samples = %d, want 1", i, got)
+	}
+	if got := lp.Wait(0).Total; got != 0 {
+		t.Fatalf("shard 0 wait samples = %d, want 0", got)
+	}
+	if got := m.LatchWaitCounters().Values()[i]; got != 1 {
+		t.Fatalf("shard %d latch waits = %d, want 1", i, got)
+	}
+	if d := m.LatchAcqCounters().Values()[i] - acqs; d != 1 {
+		t.Fatalf("shard %d acquisitions grew by %d, want 1", i, d)
 	}
 }
 

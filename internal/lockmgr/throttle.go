@@ -215,8 +215,8 @@ func (m *Manager) throtDecide(si, before, after, hw int, delta, p99 int64, actio
 
 // SetThrottleDecisionLog routes every ceiling adjustment RetuneThrottle
 // makes into dl, as KindThrottleTune decisions stamped on the manager's
-// clock — the same leaf discipline as SetLatchDecisionLog (DecisionLog.Add
-// takes only the log's own mutex). The engine wires it during Open.
+// clock. DecisionLog.Add takes only the log's own mutex, so the sink is a
+// leaf. The engine wires it during Open.
 func (m *Manager) SetThrottleDecisionLog(dl *obs.DecisionLog) {
 	if dl == nil {
 		return

@@ -9,10 +9,6 @@ import (
 // recorded as KindEscalationDoubling so distress intervals are queryable on
 // their own; ordinary passes are KindTuningPass; synchronous overflow
 // growth admitted by the lock manager between passes is KindSyncGrowth.
-// KindLatchTune records a shard latch's adaptive spin-budget change (the
-// self-tuning spin-then-park latch controller); the lock manager appends
-// these while holding the retuned shard's latch, same leaf discipline as
-// sync-growth records.
 // KindThrottleTune records a shard's admission-throttle ceiling change
 // (the saturation-aware concurrency limiter): engage, hill-climb step,
 // reverse, latency relief, or disengage, with the queue-depth high-water
@@ -21,7 +17,6 @@ const (
 	KindTuningPass         = "tuning-pass"
 	KindEscalationDoubling = "escalation-doubling"
 	KindSyncGrowth         = "sync-growth"
-	KindLatchTune          = "latch-tune"
 	KindThrottleTune       = "throttle-tune"
 )
 
@@ -66,22 +61,12 @@ type Decision struct {
 	LMOPages      int `json:"lmo_pages,omitempty"`
 	OverflowPages int `json:"overflow_pages,omitempty"`
 
-	// Latch-tune inputs/outputs (KindLatchTune only): the shard whose
-	// latch retuned, the spin budget before/after, and the evidence the
-	// controller saw — the hold-time EWMA and the last window's spin
-	// attempts/wins.
-	Shard            int   `json:"shard,omitempty"`
-	SpinBudgetBefore int   `json:"spin_budget_before,omitempty"`
-	SpinBudgetAfter  int   `json:"spin_budget_after,omitempty"`
-	HoldEwmaNs       int64 `json:"hold_ewma_ns,omitempty"`
-	SpinTries        int   `json:"spin_tries,omitempty"`
-	SpinWins         int   `json:"spin_wins,omitempty"`
-
-	// Throttle-tune inputs/outputs (KindThrottleTune only; Shard is
-	// shared with latch-tune): the concurrency ceiling before/after (0 =
+	// Throttle-tune inputs/outputs (KindThrottleTune only): the shard
+	// whose ceiling changed, the concurrency ceiling before/after (0 =
 	// disengaged) and the window signals the controller decided from —
 	// the queue-depth high-water mark, the grant-throughput delta, and
 	// the lock-wait p99.
+	Shard         int   `json:"shard,omitempty"`
 	CeilingBefore int   `json:"ceiling_before,omitempty"`
 	CeilingAfter  int   `json:"ceiling_after,omitempty"`
 	QueueDepthHW  int64 `json:"queue_depth_hw,omitempty"`

@@ -3,9 +3,9 @@
 // the blocking-acquire wait time paid after a failed TryLock. The lock
 // manager owns the sampling decision (its per-shard counter advances under
 // the latch, so sampling costs no shared cache line); this type owns the
-// storage and the merged views /metrics exposes. Exactly the input the
-// self-tuning spin-then-park latch work needs: hold-time tails say whether
-// spinning could win, wait-time tails say how much is being lost.
+// storage and the merged views /metrics exposes: hold-time tails say how
+// long a shard's critical sections run, wait-time tails how much time its
+// contenders lose.
 package obs
 
 import "fmt"

@@ -144,13 +144,6 @@ func Run(cfg Config) *Result {
 	// once, so both series are pure functions of the workload.
 	relBatches := set.Series("release batches", "count")
 	wakesCoalesced := set.Series("wakeups coalesced", "count")
-	// Spin-then-park latch outcomes advance deterministically for the same
-	// reason: one goroutine never contends a shard latch, so all three
-	// series stay zero under the sim — the determinism test pins that the
-	// latch swap adds no contention of its own to the single-threaded path.
-	latchSpins := set.Series("latch spins", "count")
-	latchParks := set.Series("latch parks", "count")
-	latchHandoffs := set.Series("latch handoffs", "count")
 	globalStall := set.Series("global stall", "µs")
 	// Lock-wait quantiles come from the engine-clock histogram, so they are
 	// deterministic; admission latency is sampled wall clock → volatile.
@@ -257,9 +250,6 @@ func Run(cfg Config) *Result {
 			optFailures.Record(now, float64(snap.LockOptimisticFailures))
 			relBatches.Record(now, float64(snap.LockReleaseBatches))
 			wakesCoalesced.Record(now, float64(snap.LockWakeupsCoalesced))
-			latchSpins.Record(now, float64(snap.LockLatchSpins))
-			latchParks.Record(now, float64(snap.LockLatchParks))
-			latchHandoffs.Record(now, float64(snap.LockLatchHandoffs))
 			throtCulled.Record(now, float64(snap.LockThrottleCulled))
 			throtCeiling.Record(now, float64(snap.LockThrottleCeiling))
 			globalStall.Record(now, float64(snap.LockGlobalHoldMax)/1e3)
