@@ -56,7 +56,9 @@ func tpccShapedBatch(tb testing.TB, m *Manager, app *App, rows []uint64) {
 
 // waitPair runs the one-wait transaction pair: a waiter, on a goroutine of
 // its own, queues behind a holder in a blocking Acquire; the holder
-// commits, then the waiter commits.
+// commits, then the waiter commits. Each side is a session with an App of
+// its own, as every engine session is, so each finds its last owner parked
+// there.
 type waitPair struct {
 	m     *Manager
 	app   *App
@@ -67,6 +69,7 @@ type waitPair struct {
 
 func newWaitPair(t *testing.T, m *Manager, app *App) *waitPair {
 	w := &waitPair{m: m, app: app, row: RowName(9, 1), start: make(chan struct{}), done: make(chan *Owner)}
+	waiterApp := m.RegisterApp()
 	var wg sync.WaitGroup
 	st := newStopper(t, &wg)
 	wg.Add(1)
@@ -78,7 +81,7 @@ func newWaitPair(t *testing.T, m *Manager, app *App) *waitPair {
 				return
 			case <-w.start:
 			}
-			o := m.NewOwner(app)
+			o := m.NewOwner(waiterApp)
 			if err := m.Acquire(st.ctx, o, w.row, ModeX, 1); err != nil {
 				t.Error(err)
 			}
@@ -109,16 +112,13 @@ func (w *waitPair) run(tb testing.TB) *Owner {
 }
 
 func TestTransactionAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop owners and request boxes at random")
-	}
 	// Sampling off: one acquisition in 64 otherwise reads the clock, which
 	// allocates nothing either, but keep the measured path the plain one.
 	m := New(Config{InitialPages: 32, Shards: 8, ObsSampleStride: -1})
 	app := m.RegisterApp()
 
-	// Recycled owner: after warm-up the owner, its held array, the request
-	// boxes and the lock headers all come back from their free lists.
+	// Recycled owner: after warm-up the owner comes back from the app's
+	// slot, with its held array, request boxes and lock headers.
 	for i := 0; i < 100; i++ {
 		tpccShapedTxn(t, m, app)
 	}
@@ -136,17 +136,17 @@ func TestTransactionAllocations(t *testing.T) {
 	}
 
 	// One wait: the waiter parks on its owner's wake channel, and both
-	// owners, both request boxes and the row's header come back from their
-	// free lists — the waiter's owner included, handed out again by
-	// NewOwner.
+	// owners come back from their apps' slots, each with its request box
+	// and header — the waiter's owner included, handed out again by
+	// NewOwner every time.
 	w := newWaitPair(t, m, app)
 	waiters := make(map[*Owner]bool)
 	const warm = 100
 	for i := 0; i < warm; i++ {
 		waiters[w.run(t)] = true
 	}
-	if len(waiters) == warm {
-		t.Errorf("%d one-wait transactions used %d distinct waiter owners: none was handed out again", warm, len(waiters))
+	if len(waiters) != 1 {
+		t.Errorf("%d one-wait transactions used %d distinct waiter owners, want 1", warm, len(waiters))
 	}
 	if n := testing.AllocsPerRun(200, func() { w.run(t) }); n > 2 {
 		t.Errorf("one-wait transaction on recycled owners: %v allocations, want at most 2", n)
@@ -168,7 +168,6 @@ func TestTransactionAllocations(t *testing.T) {
 // workers. Run it with -race.
 func TestRecycledWaitHammer(t *testing.T) {
 	m := New(Config{InitialPages: 64, Shards: 4, Throttle: 2, LockTimeout: 5 * time.Millisecond})
-	app := m.RegisterApp()
 	const workers = 8
 	var wg sync.WaitGroup
 	st := newStopper(t, &wg)
@@ -179,6 +178,7 @@ func TestRecycledWaitHammer(t *testing.T) {
 		wg.Add(1)
 		go func(mine map[*Owner]bool) {
 			defer wg.Done()
+			app := m.RegisterApp() // one session per worker
 			for n := 0; !st.stopped(); n++ {
 				o := m.NewOwner(app)
 				mine[o] = true

@@ -47,15 +47,12 @@ import (
 
 // rowBatch is the owner's statement-batch scratch: one entry per row in
 // the caller's order, the (shard, row index) keys of the rows left for the
-// latched visits, boxes allocated before a visit whose owner and shard
-// caches ran short (so the malloc stays out of the critical section), the
-// request a visit found incompatible, the Pending of the row a visit
-// queued, and whether the visit added headers it has not yet synced the
-// shard's table mirror for.
+// latched visits, the request a visit found incompatible, the Pending of
+// the row a visit queued, and whether the visit added headers it has not
+// yet synced the shard's table mirror for.
 type rowBatch struct {
 	ents    []batchRow
 	keys    []uint64 // shard<<32 | row index, sorted before the visits
-	spare   []*requestAndPending
 	blocked *request
 	wait    *Pending
 	added   bool
@@ -173,8 +170,14 @@ func (m *Manager) admitShardRows(o *Owner, si int, b *rowBatch, keys []uint64, m
 	if sampled {
 		t0 = time.Now()
 	}
-	for need := len(keys) - len(o.cache.boxes) - int(s.rfreeN.Load()); len(b.spare) < need; {
-		b.spare = append(b.spare, m.newBox())
+	if need := len(keys) - len(o.cache.boxes); need > 0 {
+		// Top the owner cache up before latching, so the mallocs stay out
+		// of the critical section; o.mu guards it for CheckInvariants.
+		o.mu.Lock()
+		for ; need > 0; need-- {
+			o.cache.boxes = append(o.cache.boxes, new(requestAndPending))
+		}
+		o.mu.Unlock()
 	}
 	s = m.lockShard(si)
 	o.mu.Lock()
@@ -216,9 +219,9 @@ func (m *Manager) admitShardRows(o *Owner, si int, b *rowBatch, keys []uint64, m
 			// would; Acquire queues the row after the rollback.
 			h := req.header
 			m.freeRequestStructs(s, req)
-			s.cacheOrEvict(h)
+			s.cacheOrEvict(h, &o.cache)
 			m.settleFast(s, h)
-			s.pushBox(req.box)
+			o.cache.pushBox(req.box)
 		}
 	}
 	if granted > 0 && s.fastPublishedN.Load() > 0 {
@@ -253,16 +256,6 @@ func (m *Manager) admitBatchRow(s *shard, o *Owner, e *batchRow, b *rowBatch, mo
 		return false
 	}
 	box := o.cache.popBox()
-	if box == nil {
-		box = s.popBox()
-	}
-	if box == nil {
-		if n := len(b.spare); n > 0 {
-			box, b.spare = b.spare[n-1], b.spare[:n-1]
-		} else {
-			box = &requestAndPending{} // raced empty; rare
-		}
-	}
 	req := &box.req
 	req.owner = o
 	req.name = e.name

@@ -67,12 +67,11 @@ func (m *Manager) appendWaitEdges(out []*Owner, req *request, i int) []*Owner {
 		return out
 	}
 	want := req.effectiveMode()
-	h.eachGranted(func(g *request) bool {
+	for _, g := range h.holders {
 		if g.owner != req.owner && !Compatible(want, g.mode) {
 			out = append(out, g.owner)
 		}
-		return true
-	})
+	}
 	if req.converting {
 		return out
 	}

@@ -14,7 +14,7 @@ package lockmgr
 // Each published lockHeader carries a packed 64-bit grant word:
 //
 //	bit 63      lk     — header spinlock: a fast op owns the header's
-//	                     granted-group fields (g0/gmap/groupMode)
+//	                     granted-group fields (holders/groupMode)
 //	bit 62      fence  — fast path off: a latched section owns the header,
 //	                     or the header state is not fast-representable
 //	bits 51–61  seq    — settle counter (anti-ABA belt and braces; bumped
@@ -41,7 +41,7 @@ package lockmgr
 // seal and settle the latched section owns the header exactly as it did
 // before this fast path existed. The seal CAS / settle store on the single
 // atomic word also carries the happens-before edges that make the fast
-// ops' plain writes to g0/gmap/groupMode visible to latched readers (and
+// ops' plain writes to holders/groupMode visible to latched readers (and
 // vice versa), so the -race gate stays green without any extra locking.
 //
 // Lock ordering: a fast op acquires Owner.mu first and only then spins for
@@ -284,7 +284,7 @@ func (m *Manager) settleFast(s *shard, h *lockHeader) {
 		if !fastEligible(h.groupMode) || h.groupMode == ModeNone {
 			return
 		}
-		if h.name.Gran != GranTable && h.grantedLen() < 2 {
+		if h.name.Gran != GranTable && len(h.holders) < 2 {
 			return
 		}
 		if len(h.converters) != 0 || len(h.waiters) != 0 {
@@ -335,11 +335,9 @@ func (m *Manager) recomputeWord(h *lockHeader, seq uint64) uint64 {
 		return w | wordFence
 	}
 	var nS, nIS, nIX uint64
-	bad := false
-	h.eachGranted(func(g *request) bool {
+	for _, g := range h.holders {
 		if g.converting || !fastEligible(g.mode) {
-			bad = true
-			return false
+			return w | wordFence
 		}
 		switch g.mode {
 		case ModeIS:
@@ -349,9 +347,8 @@ func (m *Manager) recomputeWord(h *lockHeader, seq uint64) uint64 {
 		case ModeIX:
 			nIX++
 		}
-		return true
-	})
-	if bad || nS >= wordCntMask || nIS >= wordCntMask || nIX >= wordCntMask {
+	}
+	if nS >= wordCntMask || nIS >= wordCntMask || nIX >= wordCntMask {
 		return w | wordFence
 	}
 	return w | uint64(wordGroupMode(nS, nIS, nIX))<<wordGMShift |
@@ -541,9 +538,6 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 	}
 	o.markTouched(si)
 	box := o.cache.popBox()
-	if box == nil {
-		box = m.newBox()
-	}
 	req := &box.req
 	req.owner = o
 	req.header = h
@@ -563,7 +557,7 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 	if sampled {
 		req.grantedAt = time.Now()
 	}
-	h.addGranted(req)
+	h.holders = append(h.holders, req)
 	h.groupMode = Mode((nw >> wordGMShift) & wordGMMask)
 	o.held.Insert(hash, req)
 	o.tableOrCreate(name.Table).add(req)

@@ -56,7 +56,7 @@ func (m *Manager) DumpLocks() []LockInfo {
 			// settle before moving on.
 			m.sealFast(h)
 			li := LockInfo{Name: h.name, GroupMode: h.groupMode}
-			h.eachGranted(func(g *request) bool {
+			for _, g := range h.holders {
 				li.Holders = append(li.Holders, HolderInfo{
 					OwnerID:    g.owner.id,
 					AppID:      g.owner.app.id,
@@ -65,8 +65,7 @@ func (m *Manager) DumpLocks() []LockInfo {
 					Converting: g.converting,
 					ConvertTo:  g.convert,
 				})
-				return true
-			})
+			}
 			sort.Slice(li.Holders, func(i, j int) bool { return li.Holders[i].OwnerID < li.Holders[j].OwnerID })
 			for _, w := range append(append([]*request{}, h.converters...), h.waiters...) {
 				li.Waiters = append(li.Waiters, WaiterInfo{
@@ -231,21 +230,13 @@ func (m *Manager) checkInvariantsLocked() error {
 				return fmt.Errorf("lockmgr: %v unpublished header carries grant word %#x", name, w)
 			}
 			// Granted group mutually compatible, and groupMode correct.
-			// The overflow map (if any) must key by owner.
-			for o, g := range h.gmap {
-				if g.owner != o {
-					return fmt.Errorf("lockmgr: %v granted map owner mismatch", name)
-				}
-			}
+			// An owner holds at most one request per name.
 			want := ModeNone
-			holders := make([]*request, 0, h.grantedLen())
-			var grantErr error
-			h.eachGranted(func(g *request) bool {
+			holders := h.holders
+			for _, g := range holders {
 				if !g.granted {
-					grantErr = fmt.Errorf("lockmgr: %v non-granted request in granted group", name)
-					return false
+					return fmt.Errorf("lockmgr: %v non-granted request in granted group", name)
 				}
-				holders = append(holders, g)
 				want = Supremum(want, g.mode)
 				if g.fastLeased {
 					// Fast-path grants hold no handle; their structures
@@ -255,13 +246,12 @@ func (m *Manager) checkInvariantsLocked() error {
 				} else {
 					appStructs[g.owner.app.id] += g.handle.Structs()
 				}
-				return true
-			})
-			if grantErr != nil {
-				return grantErr
 			}
 			for i := 0; i < len(holders); i++ {
 				for j := i + 1; j < len(holders); j++ {
+					if holders[i].owner == holders[j].owner {
+						return fmt.Errorf("lockmgr: %v granted twice to owner %d", name, holders[i].owner.id)
+					}
 					if !Compatible(holders[i].mode, holders[j].mode) {
 						return fmt.Errorf("lockmgr: %v incompatible granted group: %v vs %v",
 							name, holders[i].mode, holders[j].mode)
@@ -359,16 +349,16 @@ func (m *Manager) checkInvariantsLocked() error {
 	}
 
 	if n := m.wakeLeaks.Load(); n != 0 {
-		return fmt.Errorf("lockmgr: %d owners pooled with a wake signal pending", n)
+		return fmt.Errorf("lockmgr: %d owners parked with a wake signal pending", n)
 	}
 
 	// Owner indexes agree with the lock table. Each app's mu is held
 	// across the walk of its owners, not just a list snapshot: a
-	// deregistered owner's teardown (dropRef → resetForReuse, and pool
-	// reuse by NewOwner) wipes the indexes latch-free, and deregistration
-	// itself needs the app's mu — so holding it keeps every visited owner
-	// alive and un-recycled for the duration. ownersMu keeps the app set
-	// fixed. Lock order is shard latches → ownersMu → App.mu → o.mu; the
+	// deregistered owner's teardown (dropRef → resetForReuse) wipes the
+	// indexes latch-free, and deregistration, parking and reuse by
+	// NewOwner all need the app's mu — so holding it keeps every visited
+	// owner, the parked one included, alive and unchanged for the
+	// duration. ownersMu keeps the app set fixed. Lock order is shard latches → ownersMu → App.mu → o.mu; the
 	// tails are leaves (no path takes ownersMu, an App.mu or a shard latch
 	// while holding o.mu, and none takes a latch under ownersMu or App.mu).
 	apps := make(map[int]*App)
@@ -467,13 +457,23 @@ func (m *Manager) checkInvariantsLocked() error {
 
 // checkAppOwners checks every registered owner of app a: its indexes
 // (checkOwnerIndexes), its inWait gauge against the waiting sets' count
-// inWait, and its cache — every cached box zeroed and, by identity, in no
-// waiting set or queue (waiting), every cached header unpublished, empty
-// and in no shard table (tabled). Caller holds every shard latch and
-// ownersMu.
+// inWait, and its cache (checkCache); then a's parked owner, if any: reset
+// (parkedErr), registered nowhere, and its cache checked the same way.
+// Caller holds every shard latch and ownersMu.
 func (m *Manager) checkAppOwners(a *App, inWait map[*Owner]int, waiting map[*request]bool, tabled map[*lockHeader]bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if o := a.parked; o != nil {
+		if a.owners == o {
+			return fmt.Errorf("lockmgr: app %d parks a registered owner", a.id)
+		}
+		if err := o.parkedErr(); err != nil {
+			return err
+		}
+		if err := checkCache(o, waiting, tabled); err != nil {
+			return err
+		}
+	}
 	for o := a.owners; o != nil; o = o.regNext {
 		// o.mu excludes a commit mid-collect (collectDetach mutates the
 		// held indexes under o.mu alone) and a fast-path admission popping
@@ -489,19 +489,29 @@ func (m *Manager) checkAppOwners(a *App, inWait map[*Owner]int, waiting map[*req
 		if got, want := o.inWait.Load(), int32(inWait[o]); err == nil && got != want {
 			err = fmt.Errorf("lockmgr: owner %d inWait gauge %d, waiting sets hold %d", o.id, got, want)
 		}
-		for _, b := range o.cache.boxes {
-			if err == nil && (!reflect.ValueOf(&b.req).Elem().IsZero() || b.pend.status.Load() != int32(StatusWaiting) || b.pend.wake != nil || waiting[&b.req]) {
-				err = fmt.Errorf("lockmgr: owner %d caches a box that is not zeroed or still waits", o.id)
-			}
-		}
-		for _, h := range o.cache.hdrs {
-			if err == nil && (h.published || tabled[h] || !h.empty() || h.word.Load() != 0) {
-				err = fmt.Errorf("lockmgr: owner %d caches header %v that is published, non-empty or in a shard table", o.id, h.name)
-			}
+		if err == nil {
+			err = checkCache(o, waiting, tabled)
 		}
 		o.mu.Unlock()
 		if err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkCache checks o's cache: every cached box zeroed and, by identity,
+// in no waiting set or queue (waiting), every cached header unpublished,
+// empty and in no shard table (tabled).
+func checkCache(o *Owner, waiting map[*request]bool, tabled map[*lockHeader]bool) error {
+	for _, b := range o.cache.boxes {
+		if !reflect.ValueOf(&b.req).Elem().IsZero() || b.pend.status.Load() != int32(StatusWaiting) || b.pend.wake != nil || waiting[&b.req] {
+			return fmt.Errorf("lockmgr: owner %d caches a box that is not zeroed or still waits", o.id)
+		}
+	}
+	for _, h := range o.cache.hdrs {
+		if h.published || tabled[h] || !h.empty() || h.word.Load() != 0 {
+			return fmt.Errorf("lockmgr: owner %d caches header %v that is published, non-empty or in a shard table", o.id, h.name)
 		}
 	}
 	return nil

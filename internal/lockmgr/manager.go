@@ -86,13 +86,14 @@
 // # Deferred references
 //
 // Owners, blocking-Acquire request boxes and unpublished lock headers are
-// recycled, so every reference to one that outlives its latch is listed
-// here. A box or header recycled by FinishOwner goes to the owner's cache
-// (ownerCache) and from there to whichever shard the owner's next request
-// lands in, so a recycled box or header may serve a different shard than
-// the one a stale reference saw it in; every revalidation below proves
-// identity against the state of the shard it latches, never the object's
-// own fields first, so a cross-shard reuse fails it like a same-shard one:
+// recycled, each through one tier, so every reference to one that
+// outlives its latch is listed here. A finished owner parks on its App
+// once its refs reach zero and NewOwner hands it out under a fresh id; the
+// boxes and headers FinishOwner frees go to the owner's cache, and from
+// there to whichever shard its next request lands in. Every revalidation
+// below proves identity against the state of the shard it latches, never
+// the object's own fields first, so a cross-shard reuse fails it like a
+// same-shard one:
 //
 //   - Continuations (freeEscalatedRows, retryParked, abandonParked) pin
 //     their owner through its refs teardown count. A continuation's
@@ -289,7 +290,7 @@ func (p *Pending) signal() {
 }
 
 // reset returns a Pending to its zero (waiting) state for box recycling.
-// The caller must own the Pending exclusively: ReleaseAll only resets boxes
+// The caller must own the Pending exclusively: FinishOwner only resets boxes
 // whose blocking Acquire returned before the commit (happens-before via the
 // owner's single-goroutine contract, and for a wait via the wake signal
 // that was the completer's last touch). Assigning the struct wholesale
@@ -411,19 +412,21 @@ type App struct {
 
 	// mu guards owners, an intrusive doubly-linked list (head;
 	// regPrev/regNext in Owner) of the app's live owners: NewOwner links,
-	// the release walk unlinks, and CheckInvariants walks it.
+	// the release walk unlinks, and CheckInvariants walks it. It also
+	// guards parked, the app's one finished owner (reset, cache kept):
+	// dropRef fills the slot when it is empty and NewOwner empties it.
 	mu     sync.Mutex
 	owners *Owner
+	parked *Owner
 }
 
 // ID returns the application's identifier.
 func (a *App) ID() int { return a.id }
 
 // maxShardWords is the shard bitmap size in uint64 words: one bit per
-// shard at the 1024-shard configuration ceiling. releaseBatch keeps a
-// full-width bitmap inline (it is pooled, so the 128 bytes are paid once);
-// Owner keeps only the first word inline and spills the rest lazily, since
-// per-transaction memory is the commit path's main allocation.
+// shard at the 1024-shard configuration ceiling. releaseBatch, owner
+// scratch, keeps a full-width bitmap inline; Owner keeps only the first
+// word inline and spills the rest (touchedHi) when the table needs it.
 const maxShardWords = 1024 / 64
 
 // Owner is a lock requester — one transaction. All of an owner's locks are
@@ -453,12 +456,12 @@ type Owner struct {
 
 	// touched is the owner's touched-shard set: bit i is set (under mu, at
 	// admission time) before any of this owner's requests can exist in
-	// shard i, and bits are never cleared — owners are discarded at
-	// ReleaseAll. The commit fast path visits only touched shards instead
-	// of sweeping the whole shard array, so release cost is O(locks held),
-	// not O(shards). The set is conservative: a bit may be set for a shard
-	// the owner never actually locked (a backed-out fast path, a covered
-	// grant), which costs at most one latch visit at commit.
+	// shard i, and cleared only when the finished owner is reset. The
+	// commit fast path visits only touched shards, so release cost is
+	// O(locks held), not O(shards). The set is conservative: a bit may be
+	// set for a shard the owner never actually locked (a backed-out fast
+	// path, a covered grant), which costs at most one latch visit at
+	// commit.
 	//
 	// Shards 0–63 live in the inline word; tables configured with more
 	// shards get the spill slice at NewOwner time (sized once, never
@@ -482,22 +485,21 @@ type Owner struct {
 	// path entirely.
 	obsTick uint64
 
-	// wake (buffer 1, kept across pooling) is what a blocking Acquire parks
+	// wake (buffer 1, kept across reuse) is what a blocking Acquire parks
 	// on; an owner waits on at most one blocking request at a time.
 	wake chan struct{}
 
 	// refs is the owner's teardown refcount: one bias from NewOwner,
 	// dropped by the release walk as its last touch of the owner, plus one
 	// per queued continuation naming the owner. Whoever drops it to zero
-	// resets and pools the owner if recycleOnZero (FinishOwner's promise,
-	// set by the walk) is set.
+	// resets the owner and parks it on its App if recycleOnZero
+	// (FinishOwner's promise, set by the walk) is set.
 	refs          atomic.Int32
 	recycleOnZero bool
 
 	// Commit-walk scratch, reused across this owner's transactions so the
-	// steady-state release walk touches no sync.Pool at all: the collect
-	// snapshot and the deferred posting/wake drain. Touched only by the
-	// walk goroutine.
+	// steady-state release walk allocates nothing: the collect snapshot and
+	// the deferred posting/wake drain. Touched only by the walk goroutine.
 	walkBatch releaseBatch
 	drain     releaseDrain
 
@@ -507,51 +509,32 @@ type Owner struct {
 	rows rowBatch
 
 	// cache holds the request boxes and lock headers FinishOwner's walk
-	// recycled, kept across owner pooling for the owner's next
-	// transactions (see ownerCache).
+	// recycled, kept while the owner is parked for its next transactions
+	// (see ownerCache).
 	cache ownerCache
 
 	// Registry list links, guarded by app.mu.
 	regPrev, regNext *Owner
 }
 
-// Owner-cache capacities: how many recycled request boxes and lock
-// headers an owner keeps. A mean TPC-C transaction installs about 25
-// requests, so its whole set cycles through its owner; what a larger one
-// frees past the cap overflows to the manager's box pool and the package's
-// header pool. Those are per-P, not per-shard: the walk fills the cache
-// from the shards it visits first, so per-shard overflow lists would fill
-// in its last shards and drain in whichever shards the next large
-// transaction happens to lock.
-const (
-	ownerBoxCap    = 64
-	ownerHeaderCap = 64
-)
-
-// headerPool takes the lock headers an owner cache overflows with, for
-// any manager's next header creation that finds the owner cache and the
-// shard freelist empty. Entries are evicted, emptied, unpublished headers.
-var headerPool sync.Pool
-
-// ownerCache is an owner's private stock of recycled request boxes and
-// unpublished lock headers. FinishOwner's release walk fills it and the
-// owner's own admissions (acquireAsync, the fast path, a batch visit,
-// header creation) draw from it first, so a steady commit workload reuses
-// the same memory on the same core instead of passing it between cores
-// through the shard freelists. Everything in it is zeroed (boxes) or empty
-// and out of every shard table (headers). Only the owner's goroutine
-// touches it, and always under a shard latch or o.mu, so CheckInvariants
-// (every latch plus o.mu) reads it race-free.
+// ownerCache is an owner's private stock of recycled request boxes
+// (zeroed) and unpublished lock headers (empty, in no shard table), the
+// only place either is recycled to. FinishOwner's release walk fills it
+// and the owner's own admissions draw from it before allocating. It keeps
+// up to heldKeepSlots of each: a TPC-C delivery (84 requests) cycles
+// whole, and what a scan frees past the cap goes to the collector. Only
+// the owner's goroutine touches it, and always under a shard latch or
+// o.mu, so CheckInvariants (every latch plus o.mu) reads it race-free.
 type ownerCache struct {
 	boxes []*requestAndPending
 	hdrs  []*lockHeader
 }
 
-// popBox takes a recycled box, or nil.
+// popBox takes a recycled box, or allocates one when the cache is empty.
 func (c *ownerCache) popBox() *requestAndPending {
 	n := len(c.boxes)
 	if n == 0 {
-		return nil
+		return new(requestAndPending)
 	}
 	b := c.boxes[n-1]
 	c.boxes[n-1] = nil
@@ -559,17 +542,14 @@ func (c *ownerCache) popBox() *requestAndPending {
 	return b
 }
 
-// pushBox zeroes b and keeps it, reporting false (keeping nothing) when
-// the cache is full. The caller guarantees no external references to b or
-// its Pending remain (pushBox on the shard has the same contract).
-func (c *ownerCache) pushBox(b *requestAndPending) bool {
-	if len(c.boxes) >= ownerBoxCap {
-		return false
+// pushBox zeroes b and keeps it, unless the cache is nil or full. The
+// caller guarantees no external references to b or its Pending remain.
+func (c *ownerCache) pushBox(b *requestAndPending) {
+	if c != nil && len(c.boxes) < heldKeepSlots {
+		b.req = request{}
+		b.pend.reset()
+		c.boxes = append(c.boxes, b)
 	}
-	b.req = request{}
-	b.pend.reset()
-	c.boxes = append(c.boxes, b)
-	return true
 }
 
 // popHeader takes a recycled header, or nil (always nil on a nil cache).
@@ -584,14 +564,11 @@ func (c *ownerCache) popHeader() *lockHeader {
 	return h
 }
 
-// pushHeader keeps an evicted header, reporting false when the cache is
-// full.
-func (c *ownerCache) pushHeader(h *lockHeader) bool {
-	if len(c.hdrs) >= ownerHeaderCap {
-		return false
+// pushHeader keeps an evicted header, unless the cache is nil or full.
+func (c *ownerCache) pushHeader(h *lockHeader) {
+	if c != nil && len(c.hdrs) < heldKeepSlots {
+		c.hdrs = append(c.hdrs, h)
 	}
-	c.hdrs = append(c.hdrs, h)
-	return true
 }
 
 // markTouched records that the owner may have a request homed in shard si.
@@ -677,10 +654,10 @@ func (o *Owner) touchedShards(buf []int) []int {
 
 // heldInlineSlots is the size of the held index's inline first segment: an
 // owner holding up to three quarters of it (12 locks) allocates nothing for
-// the index, pooled or not. heldKeepSlots bounds the held array and walk
-// scratch a pooled owner keeps between transactions; ownerTablesInline is
-// the number of tables an owner tracks before its per-table array moves to
-// the heap.
+// the index, new or reused. heldKeepSlots bounds the held array, the walk
+// scratch and the cache (boxes and headers each) a parked owner keeps
+// between transactions; ownerTablesInline is the number of tables an owner
+// tracks before its per-table array moves to the heap.
 const (
 	heldInlineSlots   = 16
 	heldKeepSlots     = 256
@@ -753,12 +730,10 @@ type request struct {
 	fastLeased bool
 
 	// Recycling state. box points back at the request's co-allocation so
-	// the release walk can recycle it (into the owner's cache or the home
-	// shard's). recyclable is set
-	// only for boxes born in the blocking Acquire path, whose Pending
+	// FinishOwner's walk can keep it in the owner's cache. recyclable is
+	// set only for boxes born in the blocking Acquire path, whose Pending
 	// provably has no external references once the transaction commits
-	// (Acquire returned before the owner's goroutine could call
-	// ReleaseAll).
+	// (Acquire returned before the owner's goroutine could finish it).
 	recyclable bool
 	box        *requestAndPending
 }
@@ -782,15 +757,14 @@ func (r *request) effectiveMode() Mode {
 	return r.mode
 }
 
-// lockHeader is the lock table entry for one Name. The granted group is a
-// single inline slot (g0) plus a lazily allocated overflow map: most locks
-// have exactly one holder, and the inline slot spares that case a map
-// assign+delete (and the iteration seeding of range-over-map) per
-// acquire/release cycle.
+// lockHeader is the lock table entry for one Name. The granted group,
+// holders, is in grant order, so every walk of it (the detector's wait
+// edges included) repeats run to run. It starts on the inline holders0 —
+// most locks have one holder — and keeps what it grew across recycling.
 type lockHeader struct {
 	name       Name
-	g0         *request            // single-holder fast slot
-	gmap       map[*Owner]*request // overflow holders; nil until needed
+	holders    []*request
+	holders0   [1]*request
 	groupMode  Mode
 	converters []*request // FIFO, priority over waiters
 	waiters    []*request // FIFO up to the throttle ceiling, newest-first past it
@@ -798,8 +772,8 @@ type lockHeader struct {
 	// word is the packed latch-free grant word (see fastpath.go); it is
 	// meaningful only once published is set (latch-guarded) and the
 	// header is installed in its shard's publication table (fastSlots),
-	// where fastLookup finds it. Published headers are never recycled onto
-	// the header freelist and never evicted from the table — an emptied
+	// where fastLookup finds it. Published headers are never recycled into
+	// an owner cache and never evicted from the table — an emptied
 	// one stays resident with an admitting word (deferred reclamation),
 	// which is what keeps a hot key latch-free across transactions. At
 	// most fastPublishMax (256) headers per shard are ever published.
@@ -818,72 +792,30 @@ type lockHeader struct {
 	epoch atomic.Uint64
 }
 
-// addGranted records r as a holder. Caller guarantees r's owner is not
-// already in the granted group (re-requests go through conversion).
-func (h *lockHeader) addGranted(r *request) {
-	if h.g0 == nil {
-		h.g0 = r
-		return
-	}
-	if h.gmap == nil {
-		h.gmap = make(map[*Owner]*request, 4)
-	}
-	h.gmap[r.owner] = r
-}
-
-// removeGranted drops o's granted request, if any.
-func (h *lockHeader) removeGranted(o *Owner) {
-	if h.g0 != nil && h.g0.owner == o {
-		h.g0 = nil
-		return
-	}
-	delete(h.gmap, o)
-}
-
 // getGranted returns o's granted request, or nil.
 func (h *lockHeader) getGranted(o *Owner) *request {
-	if h.g0 != nil && h.g0.owner == o {
-		return h.g0
+	for _, g := range h.holders {
+		if g.owner == o {
+			return g
+		}
 	}
-	return h.gmap[o]
+	return nil
 }
 
-// grantedLen returns the number of holders.
-func (h *lockHeader) grantedLen() int {
-	n := len(h.gmap)
-	if h.g0 != nil {
-		n++
-	}
-	return n
-}
-
-// eachGranted calls f for every holder until f returns false.
-func (h *lockHeader) eachGranted(f func(*request) bool) {
-	if h.g0 != nil && !f(h.g0) {
-		return
-	}
-	for _, g := range h.gmap {
-		if !f(g) {
+// removeGranted drops o's granted request, if any. The caller guarantees
+// an owner holds at most one (re-requests go through conversion).
+func (h *lockHeader) removeGranted(o *Owner) {
+	for i, g := range h.holders {
+		if g.owner == o {
+			h.holders = removeAt(h.holders, i)
 			return
 		}
 	}
 }
 
 func (h *lockHeader) recomputeGroupMode() {
-	if len(h.gmap) == 0 {
-		// Fast path: zero or one holder.
-		if h.g0 != nil {
-			h.groupMode = h.g0.mode
-		} else {
-			h.groupMode = ModeNone
-		}
-		return
-	}
 	mode := ModeNone
-	if h.g0 != nil {
-		mode = h.g0.mode
-	}
-	for _, g := range h.gmap {
+	for _, g := range h.holders {
 		mode = Supremum(mode, g.mode)
 	}
 	h.groupMode = mode
@@ -908,7 +840,7 @@ func removeReq(q []*request, r *request) []*request {
 }
 
 func (h *lockHeader) empty() bool {
-	return h.g0 == nil && len(h.gmap) == 0 && len(h.converters) == 0 &&
+	return len(h.holders) == 0 && len(h.converters) == 0 &&
 		len(h.waiters) == 0
 }
 
@@ -940,12 +872,6 @@ type statCounters struct {
 	syncGrowthPages      atomic.Int64
 }
 
-// headerFreelistCap bounds each shard's recycled lock-header stack.
-const headerFreelistCap = 64
-
-// boxFreelistCap bounds each shard's recycled request-box stack.
-const boxFreelistCap = 64
-
 // shard is one stripe of the lock table.
 type shard struct {
 	// mu is the shard latch. Acquire through lockShard (it counts the
@@ -969,17 +895,6 @@ type shard struct {
 	latchTick uint64
 	holdT0    time.Time
 	pool      *memblock.Pool // lease cache; guarded by mu
-	hfree     []*lockHeader  // recycled headers (with empty granted maps)
-
-	// rfree is the shard's cache of recycled request+Pending boxes,
-	// guarded by mu like hfree; boxes are pushed (zeroed) by a release
-	// walk whose owner's cache is full or not kept (ReleaseAll), and popped
-	// by the acquire path when the owner's cache is empty. rfreeN mirrors
-	// len(rfree) so the acquire path can pre-allocate outside the latch
-	// when the cache is empty instead of allocating inside the critical
-	// section.
-	rfree  []*requestAndPending
-	rfreeN atomic.Int32
 
 	// quotaNext is the pool request count at which this shard's next
 	// fast-path quota check refreshes the manager's cached quota percent
@@ -1083,41 +998,6 @@ func (s *shard) holdsWaiter(r *request) bool {
 	return false
 }
 
-// popBox takes a recycled request box from the shard cache, or nil. Caller
-// holds the shard latch. The box was zeroed when it was pushed.
-func (s *shard) popBox() *requestAndPending {
-	n := len(s.rfree)
-	if n == 0 {
-		return nil
-	}
-	b := s.rfree[n-1]
-	s.rfree[n-1] = nil
-	s.rfree = s.rfree[:n-1]
-	s.rfreeN.Store(int32(len(s.rfree)))
-	return b
-}
-
-// newBox takes a zeroed box from the box pool, or allocates one.
-func (m *Manager) newBox() *requestAndPending {
-	if b, _ := m.fastBoxPool.Get().(*requestAndPending); b != nil {
-		return b
-	}
-	return &requestAndPending{}
-}
-
-// pushBox zeroes a request box and returns it to the shard cache (bounded;
-// overflow is left to the garbage collector). Caller holds the shard latch
-// and guarantees no external references to the box or its Pending remain.
-func (s *shard) pushBox(b *requestAndPending) {
-	if len(s.rfree) >= boxFreelistCap {
-		return
-	}
-	b.req = request{}
-	b.pend.reset()
-	s.rfree = append(s.rfree, b)
-	s.rfreeN.Store(int32(len(s.rfree)))
-}
-
 // Manager is the lock manager. All public methods are safe for concurrent
 // use by distinct owners; a single owner's requests must come from one
 // goroutine.
@@ -1128,11 +1008,6 @@ type Manager struct {
 
 	shards    []shard
 	shardMask uint64
-
-	// ownerPool recycles Owner structs handed back through FinishOwner.
-	// Per-manager (not package-global) so a pooled owner's touchedHi spill
-	// is always sized for this manager's shard count.
-	ownerPool sync.Pool
 
 	ownersMu sync.Mutex // registry of apps; each App registers its own owners
 	apps     map[int]*App
@@ -1199,14 +1074,6 @@ type Manager struct {
 	optHits     *metrics.ShardCounters
 	optFailures *metrics.ShardCounters
 
-	// fastBoxPool recycles request+Pending boxes for admissions that find
-	// the owner's cache empty: the latch-free grant path (which cannot pop
-	// the shard's latched rfree cache) and allocations made before taking
-	// a latch. Boxes enter zeroed (same contract as pushBox: recyclable, no
-	// external references) from a release walk whose owner cache is full,
-	// or whose shard cache is full when the owner's is not kept.
-	fastBoxPool sync.Pool
-
 	// latchWaits counts contended shard-latch acquisitions; latchAcqs
 	// counts every acquisition, contended or not — the direct evidence
 	// that the commit fast path visits O(shards touched) rather than
@@ -1264,7 +1131,7 @@ type Manager struct {
 
 	stats statCounters
 
-	wakeLeaks atomic.Int64 // owners pooled with a wake signal pending
+	wakeLeaks atomic.Int64 // owners parked with a wake signal pending
 }
 
 // defaultShards picks the shard count for Config.Shards == 0: enough
@@ -1553,8 +1420,8 @@ func (m *Manager) RegisterApp() *App {
 	return a
 }
 
-// UnregisterApp removes an application. The caller must have released all
-// of its owners' locks first.
+// UnregisterApp removes an application and drops its parked owner. The
+// caller must have released all of its owners' locks first.
 func (m *Manager) UnregisterApp(a *App) error {
 	m.ownersMu.Lock()
 	defer m.ownersMu.Unlock()
@@ -1565,6 +1432,9 @@ func (m *Manager) UnregisterApp(a *App) error {
 		delete(m.apps, a.id)
 		m.numApps.Add(-1)
 	}
+	a.mu.Lock()
+	a.parked = nil
+	a.mu.Unlock()
 	return nil
 }
 
@@ -1575,9 +1445,12 @@ func (m *Manager) NumApps() int {
 }
 
 // NewOwner creates a lock owner (transaction) for an application and
-// registers it on the application.
+// registers it on the application. It hands out the application's parked
+// owner, under a fresh id, when there is one.
 func (m *Manager) NewOwner(a *App) *Owner {
-	o, _ := m.ownerPool.Get().(*Owner)
+	a.mu.Lock()
+	o := a.parked
+	a.parked = nil
 	if o == nil {
 		o = &Owner{wake: make(chan struct{}, 1)}
 		o.held.Reset(o.heldSeg[:])
@@ -1585,10 +1458,13 @@ func (m *Manager) NewOwner(a *App) *Owner {
 		if ns := len(m.shards); ns > 64 {
 			o.touchedHi = make([]uint64, (ns+63)/64-1)
 		}
+	} else if raceEnabled {
+		if err := o.parkedErr(); err != nil {
+			panic(err)
+		}
 	}
 	o.id, o.app = m.nextOwner.Add(1), a
 	o.refs.Store(1) // the release walk's bias
-	a.mu.Lock()
 	if a.owners != nil {
 		a.owners.regPrev = o
 	}
@@ -1610,7 +1486,7 @@ func (m *Manager) AcquireAsync(o *Owner, name Name, mode Mode, weight int) *Pend
 
 // acquireAsync is the shared admission front end. recyclable marks boxes
 // whose Pending cannot outlive the transaction (the blocking Acquire path);
-// ReleaseAll returns those to the home shard's box cache.
+// FinishOwner returns those to the owner's cache.
 func (m *Manager) acquireAsync(o *Owner, name Name, mode Mode, weight int, recyclable bool) *Pending {
 	if !mode.Valid() || weight < 1 {
 		p := new(Pending)
@@ -1653,21 +1529,16 @@ func (m *Manager) acquireAsync(o *Owner, name Name, mode Mode, weight int, recyc
 	m.fastFallbacks.Writer(o.app.id).Inc()
 	// The request and its Pending are one allocation — and on a steady
 	// commit workload not even that: FinishOwner recycles the boxes of
-	// committed transactions into the owner's cache, and ReleaseAll into
-	// the home shard's. Both are popped under the latch; when neither has
-	// a box, take one from the box pool (or allocate) before latching so
-	// the malloc stays out of the critical section.
+	// committed transactions into the owner's cache, popped under the
+	// latch. When the cache is empty, allocate before latching so the
+	// malloc stays out of the critical section.
 	var box *requestAndPending
-	if len(o.cache.boxes) == 0 && m.shards[si].rfreeN.Load() == 0 {
-		box = m.newBox()
+	if len(o.cache.boxes) == 0 {
+		box = new(requestAndPending)
 	}
 	s := m.lockShard(si)
 	if box == nil {
-		if box = o.cache.popBox(); box == nil {
-			if box = s.popBox(); box == nil {
-				box = &requestAndPending{} // raced empty; rare
-			}
-		}
+		box = o.cache.popBox()
 	}
 	req := &box.req
 	req.owner = o
@@ -1808,10 +1679,8 @@ func (m *Manager) startRequest(s *shard, si int, req *request, c *ownerCache, gl
 		// The full admission pipeline may escalate, which re-enters this
 		// owner's state (releaseGranted takes o.mu); drop o.mu first.
 		o.mu.Unlock()
-		switch m.admitStructsGlobal(req) {
-		case admitDone:
+		if !m.admitStructsGlobal(req) {
 			return true // pipeline completed the pending (denied/parked)
-		default:
 		}
 		h := s.headerFor(req.hash, name, c)
 		m.sealFast(h)
@@ -1974,15 +1843,12 @@ func (m *Manager) startConversion(cur *request, target Mode, p *Pending, onGrant
 // canConvert reports whether cur can convert to target given the other
 // granted holders. Caller holds cur's home shard latch.
 func (m *Manager) canConvert(cur *request, target Mode) bool {
-	ok := true
-	cur.header.eachGranted(func(g *request) bool {
+	for _, g := range cur.header.holders {
 		if g != cur && !Compatible(target, g.mode) {
-			ok = false
 			return false
 		}
-		return true
-	})
-	return ok
+	}
+	return true
 }
 
 func (m *Manager) finishConversion(cur *request, d *releaseDrain) {
@@ -1996,21 +1862,12 @@ func (m *Manager) finishConversion(cur *request, d *releaseDrain) {
 	m.grantDeferred(cur, d)
 }
 
-// admitResult is the outcome of the admission/allocation step.
-type admitResult uint8
-
-const (
-	// admitOK — structures allocated; proceed to the lock table.
-	admitOK admitResult = iota
-	// admitDone — the pending was completed (denied) or the request was
-	// parked behind an escalation; nothing further to do.
-	admitDone
-)
-
 // admitStructsGlobal is the full admission pipeline — quota growth,
 // escalation, pool repatriation, synchronous growth — run with every shard
-// latch held. It never returns admitRetryGlobal.
-func (m *Manager) admitStructsGlobal(req *request) admitResult {
+// latch held. It reports whether it allocated req's structures; false
+// means it completed the pending (denied) or parked the request behind an
+// escalation, and nothing further is to be done.
+func (m *Manager) admitStructsGlobal(req *request) bool {
 	app := req.owner.app
 
 	if over, quota := m.overQuota(app, req.weight); over {
@@ -2036,7 +1893,7 @@ func (m *Manager) admitStructsGlobal(req *request) admitResult {
 			// escalate this application's largest table, then retry
 			// the request.
 			if m.escalate(req.owner, req) {
-				return admitDone // parked behind the escalation
+				return false // parked behind the escalation
 			}
 			// Nothing to escalate: the request alone exceeds the quota.
 			m.stats.quotaDenials.Add(1)
@@ -2045,7 +1902,7 @@ func (m *Manager) admitStructsGlobal(req *request) admitResult {
 			}
 			req.pending.complete(StatusDenied, fmt.Errorf("%w: %d structs held + %d requested > %.1f%% of %d",
 				ErrQuotaExceeded, app.structs.Load(), req.weight, quota, m.chain.Capacity()))
-			return admitDone
+			return false
 		}
 	}
 
@@ -2057,7 +1914,7 @@ func (m *Manager) admitStructsGlobal(req *request) admitResult {
 	if h, err := m.chain.Alloc(req.weight); err == nil {
 		req.handle = h
 		app.structs.Add(int64(req.weight))
-		return admitOK
+		return true
 	}
 
 	// Memory exhausted: grow synchronously from overflow memory. Requests
@@ -2072,14 +1929,14 @@ func (m *Manager) admitStructsGlobal(req *request) admitResult {
 			if h, err := m.chain.Alloc(req.weight); err == nil {
 				req.handle = h
 				app.structs.Add(int64(req.weight))
-				return admitOK
+				return true
 			}
 		}
 	}
 
 	// Still constrained: escalate to free structures.
 	if m.escalate(req.owner, req) {
-		return admitDone // parked; retried after the escalation completes
+		return false // parked; retried after the escalation completes
 	}
 
 	m.stats.memoryDenials.Add(1)
@@ -2087,7 +1944,7 @@ func (m *Manager) admitStructsGlobal(req *request) admitResult {
 		m.cfg.Events.OnDenial(app.id, ErrLockMemory)
 	}
 	req.pending.complete(StatusDenied, ErrLockMemory)
-	return admitDone
+	return false
 }
 
 func (m *Manager) noteSyncGrowth(pages int) {
@@ -2182,8 +2039,8 @@ func (s *shard) header(hash uint64, name Name) *lockHeader {
 }
 
 // headerFor returns (creating if necessary) the lock table entry for name,
-// recycling headers from the owner's cache c (nil for none) or the shard's
-// freelist. Caller holds the shard latch.
+// taking a new header from the owner's cache c (nil for none) before
+// allocating one. Caller holds the shard latch.
 func (s *shard) headerFor(hash uint64, name Name, c *ownerCache) *lockHeader {
 	h, added := s.headerForDeferred(hash, name, c)
 	if added {
@@ -2203,13 +2060,8 @@ func (s *shard) headerForDeferred(hash uint64, name Name, c *ownerCache) (*lockH
 	}
 	h := c.popHeader()
 	if h == nil {
-		if n := len(s.hfree); n > 0 {
-			h = s.hfree[n-1]
-			s.hfree[n-1] = nil
-			s.hfree = s.hfree[:n-1]
-		} else if h, _ = headerPool.Get().(*lockHeader); h == nil {
-			h = &lockHeader{}
-		}
+		h = &lockHeader{}
+		h.holders = h.holders0[:0]
 	}
 	h.name = name
 	s.table.Insert(hash, h)
@@ -2230,7 +2082,7 @@ func (m *Manager) installGranted(h *lockHeader, req *request) {
 // and req.owner.mu.
 func (m *Manager) installGrantedLocked(h *lockHeader, req *request) {
 	req.header = h
-	h.addGranted(req)
+	h.holders = append(h.holders, req)
 	h.groupMode = Supremum(h.groupMode, req.mode)
 	o := req.owner
 	req.granted = true
@@ -2334,7 +2186,7 @@ func (m *Manager) deny(req *request, err error) {
 		// Likewise: an incompatible head waiter's removal can unblock
 		// the requests queued behind it.
 		m.post(s, h, nil)
-		s.cacheOrEvict(h)
+		s.cacheOrEvict(h, nil)
 	} else {
 		// Parked request: never entered a queue, but may hold structures
 		// if it was parked after allocation (it is not today; keep the
@@ -2379,22 +2231,21 @@ func (m *Manager) freeRequestStructs(s *shard, req *request) {
 	}
 }
 
-// cacheOrEvict removes an empty header from the shard's table and recycles
-// it on the bounded freelist (its emptied granted map is reused by the next
-// header the shard creates). Caller holds the shard latch.
-func (s *shard) cacheOrEvict(h *lockHeader) {
-	if s.cacheOrEvictDeferred(h, nil) {
+// cacheOrEvict removes an empty unpublished header from the shard's table
+// and keeps it in the owner cache c, or leaves it to the collector when c
+// is full or nil (a caller not running for the owner: a detector denial,
+// a continuation). Caller holds the shard latch.
+func (s *shard) cacheOrEvict(h *lockHeader, c *ownerCache) {
+	if s.cacheOrEvictDeferred(h, c) {
 		s.syncTableMirror()
 	}
 }
 
 // cacheOrEvictDeferred is cacheOrEvict without the latch-free mirror
 // update: the batch release path evicts several headers per shard visit
-// and calls syncTableMirror once at the end. An evicted header goes to the
-// owner cache c when c is non-nil (FinishOwner's walk) and has room, to
-// headerPool when it is full, and to the shard freelist when c is nil.
-// Returns whether the header was removed. Caller holds the shard latch and
-// must sync the mirror before releasing it.
+// and calls syncTableMirror once at the end. Returns whether the header
+// was removed. Caller holds the shard latch and must sync the mirror
+// before releasing it.
 func (s *shard) cacheOrEvictDeferred(h *lockHeader, c *ownerCache) bool {
 	if h == nil || h.published || !h.empty() {
 		// Published headers are never evicted or recycled: a fast op may
@@ -2410,14 +2261,7 @@ func (s *shard) cacheOrEvictDeferred(h *lockHeader, c *ownerCache) bool {
 	h.groupMode = ModeNone
 	h.converters = nil
 	h.waiters = nil
-	switch {
-	case c == nil:
-		if len(s.hfree) < headerFreelistCap {
-			s.hfree = append(s.hfree, h)
-		}
-	case !c.pushHeader(h):
-		headerPool.Put(h)
-	}
+	c.pushHeader(h)
 	return true
 }
 
@@ -2470,7 +2314,7 @@ func (m *Manager) releaseGranted(req *request) {
 	o.mu.Lock()
 	m.releaseOwnerStateLocked(req)
 	o.mu.Unlock()
-	m.finishRelease(s, req)
+	m.finishRelease(s, req, nil)
 }
 
 // releaseOwnerStateLocked unlinks req from its owner's indexes. Caller
@@ -2490,10 +2334,11 @@ func (m *Manager) releaseOwnerStateLocked(req *request) {
 }
 
 // finishRelease completes a release after the owner state is unlinked:
-// lock-table removal, structure free, FIFO posting. s must be req's home
-// shard; the caller holds its latch (and NOT req.owner.mu — posting may
-// take other owners' mutexes).
-func (m *Manager) finishRelease(s *shard, req *request) {
+// lock-table removal, structure free, FIFO posting, and an emptied header
+// evicted into c (cacheOrEvict). s must be req's home shard; the caller
+// holds its latch (and NOT req.owner.mu — posting may take other owners'
+// mutexes).
+func (m *Manager) finishRelease(s *shard, req *request, c *ownerCache) {
 	if !req.grantedAt.IsZero() {
 		held := time.Since(req.grantedAt).Nanoseconds()
 		m.holdHist.RecordStripe(m.shardOf(req.name), held)
@@ -2512,7 +2357,7 @@ func (m *Manager) finishRelease(s *shard, req *request) {
 	m.freeRequestStructs(s, req)
 	h.recomputeGroupMode()
 	m.post(s, h, nil)
-	s.cacheOrEvict(h)
+	s.cacheOrEvict(h, c)
 	m.settleFast(s, h)
 }
 
@@ -2548,7 +2393,7 @@ func (m *Manager) Release(o *Owner, name Name) error {
 	}
 	m.releaseOwnerStateLocked(req)
 	o.mu.Unlock()
-	m.finishRelease(s, req)
+	m.finishRelease(s, req, &o.cache)
 	m.unlockShard(s)
 	m.flushConts()
 	return nil
@@ -2616,26 +2461,26 @@ func (m *Manager) cancel(o *Owner, name Name) {
 // may outlive the call: FinishOwner recycles it once the queued
 // continuations naming it have run.
 func (m *Manager) ReleaseAll(o *Owner) {
-	m.releaseAll(o, false)
+	m.releaseAll(o, nil)
 }
 
 // FinishOwner is ReleaseAll plus Owner recycling for callers that can
 // guarantee exclusive ownership of o: no concurrent or later use of the
 // pointer, by ReleaseAll or anything else. (The transaction layer
 // qualifies — its state machine calls finish exactly once.) Every owner is
-// recycled, waited or not: the pool takes it once the last queued
-// continuation naming it has run. ReleaseAll itself keeps the stronger
+// recycled, waited or not: it parks on its App, for the App's next
+// NewOwner, once the last queued continuation naming it has run. ReleaseAll itself keeps the stronger
 // guarantee that duplicate concurrent calls are harmless.
 func (m *Manager) FinishOwner(o *Owner) {
-	m.releaseAll(o, true)
+	m.releaseAll(o, &o.cache)
 }
 
-// releaseAll does the work; it reports whether this call performed the
-// release (false when a racing ReleaseAll got there first). recycle is
-// FinishOwner's exclusive-pointer promise: when set the owner is pooled
-// once its teardown refcount (refs) drains, and the walk recycles the
-// owner's committed request boxes and emptied headers into its cache.
-func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
+// releaseAll does the work; a racing second call returns at once. A
+// non-nil cache, o's own, is FinishOwner's exclusive-pointer promise: the
+// walk recycles the owner's committed request boxes and emptied headers
+// into it, and the owner is parked once its teardown refcount (refs)
+// drains.
+func (m *Manager) releaseAll(o *Owner, cache *ownerCache) {
 	// Release-latency sampling: the owners whose id is a multiple of the
 	// stride pay for the two clock reads bracketing the walk. Owner ids
 	// are assigned in order, so under the simulated clock the recorded
@@ -2649,10 +2494,10 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 	o.mu.Lock()
 	if o.released {
 		o.mu.Unlock()
-		return false // double release: commit and abort already raced, no-op
+		return // double release: commit and abort already raced, no-op
 	}
 	o.released = true
-	o.recycleOnZero = recycle // read by the dropper that reaches zero, after the walk's bias drop
+	o.recycleOnZero = cache != nil // read by the dropper that reaches zero, after the walk's bias drop
 	quiesced := o.inWait.Load() == 0
 
 	// Snapshot (name, request, shard) triples, bucketed by shard with rows
@@ -2660,8 +2505,7 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 	// and shard routing never dereference a request pointer that a
 	// concurrent continuation might have released (and recycling might
 	// have rewritten). The batch and the drain are owner-embedded scratch,
-	// so the steady-state commit walk allocates nothing and touches no
-	// sync.Pool.
+	// so the steady-state commit walk allocates nothing.
 	batch := &o.walkBatch
 	batch.reset()
 	shards := o.touchedShards(batch.buf[:0])
@@ -2672,10 +2516,6 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 	}
 	o.mu.Unlock()
 
-	var cache *ownerCache
-	if recycle {
-		cache = &o.cache
-	}
 	drain := &o.drain
 	for _, si := range shards {
 		if quiesced && !batch.hasShard(si) {
@@ -2743,22 +2583,37 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 	// Drop the owner's refs bias — the walk's very last touch of the owner
 	// — performing the teardown unless a continuation still holds a ref.
 	m.dropRef(o)
-	return true
 }
 
 // dropRef releases one hold on the owner's teardown count; the drop to
-// zero performs the deferred FinishOwner recycling when it was promised.
-// The atomic decrement orders the teardown after every other use of the
-// owner.
+// zero performs the deferred FinishOwner recycling when it was promised:
+// the reset owner parks on its App if the slot is empty, and is otherwise
+// left to the collector. The atomic decrement orders the teardown after
+// every other use of the owner.
 func (m *Manager) dropRef(o *Owner) {
 	if o.refs.Add(-1) == 0 && o.recycleOnZero {
 		if len(o.wake) != 0 {
 			m.wakeLeaks.Add(1)
 			<-o.wake
 		}
+		a := o.app
 		o.resetForReuse()
-		m.ownerPool.Put(o)
+		a.mu.Lock()
+		if a.parked == nil {
+			a.parked = o
+		}
+		a.mu.Unlock()
 	}
+}
+
+// parkedErr reports whether o breaks the state dropRef parks owners in:
+// reset, unregistered, refs at zero, nothing held or waiting.
+func (o *Owner) parkedErr() error {
+	if o.refs.Load() != 0 || o.app != nil || o.released || o.held.Len() != 0 || len(o.tables) != 0 ||
+		o.inWait.Load() != 0 || o.regPrev != nil || o.regNext != nil {
+		return fmt.Errorf("lockmgr: parked owner %d is not reset", o.id)
+	}
+	return nil
 }
 
 // resetForReuse returns the owner to its zero state (keeping the sized
@@ -2777,15 +2632,15 @@ func (o *Owner) resetForReuse() {
 	o.obsTick = 0
 	o.refs.Store(0)
 	o.recycleOnZero = false
-	// A scan's walk scratch is not pooled: it would stay live, and be
-	// scanned by every collection, for as long as the owner circulates.
+	// A scan's walk scratch is not kept: it would stay live, and be
+	// scanned by every collection, for as long as the owner is reused.
 	if b := &o.walkBatch; cap(b.rows) > heldKeepSlots || cap(b.live) > heldKeepSlots || cap(b.order) > heldKeepSlots {
 		b.rows, b.tables, b.order, b.live = nil, nil, nil, nil
 	}
 	if cap(o.drain.hdrs) > heldKeepSlots {
 		o.drain.hdrs = nil
 	}
-	if b := &o.rows; cap(b.ents) > heldKeepSlots || len(b.spare) > heldKeepSlots {
+	if b := &o.rows; cap(b.ents) > heldKeepSlots {
 		*b = rowBatch{}
 	}
 }
@@ -2934,8 +2789,8 @@ func (b *releaseBatch) collectShard(m *Manager, o *Owner, si int) {
 // and unlink every entry of the shard's bucket in a single o.mu critical
 // section (rows first, then tables — the pinned order), then unlink each
 // release from the lock table, free its structures, and recycle the boxes
-// of committed blocking acquires — into the owner cache c when the caller
-// is FinishOwner's walk (c non-nil), else into the shard's cache. Headers
+// of committed blocking acquires into the owner cache c when the caller
+// is FinishOwner's walk (c non-nil; ReleaseAll drops them). Headers
 // that still need a FIFO posting pass, the pooled frees awaiting one
 // SettleFree, and the fast credit awaiting one recredit accumulate into
 // the drain: the caller finishes the visit — settle once, post once — with
@@ -3047,25 +2902,12 @@ func (m *Manager) releaseShardPhase1(s *shard, si int, o *Owner, b *releaseBatch
 		o.app.structs.Add(-int64(weightFreed))
 	}
 	// Box recycling: live requests are fully unlinked (granted, so on no
-	// queue the posting pass could reach) — recycle them before posting:
-	// into the owner's cache when it is kept (c non-nil), else the shard's.
+	// queue the posting pass could reach) — recycle them before posting
+	// into the owner's cache when it is kept (c non-nil). ReleaseAll's
+	// boxes, and what a full cache cannot hold, go to the collector.
 	for _, r := range live {
-		if !r.recyclable || c != nil && c.pushBox(r.box) {
-			continue
-		}
-		if c == nil && len(s.rfree) < boxFreelistCap {
-			s.pushBox(r.box)
-		} else if len(live) <= boxFreelistCap {
-			// The cache is full: feed the box pool instead of the garbage
-			// collector. Same ownership contract as pushBox; boxes enter
-			// the pool zeroed. A scan's worth of boxes goes to the
-			// collector instead: nothing draws that many, and a program
-			// that allocates as little as the commit path now does
-			// collects too rarely to empty the pool itself.
-			b := r.box
-			b.req = request{}
-			b.pend.reset()
-			m.fastBoxPool.Put(b)
+		if r.recyclable {
+			c.pushBox(r.box)
 		}
 	}
 	clear(live)

@@ -11,19 +11,19 @@ import (
 	"time"
 )
 
-// Tests for the owner caches: FinishOwner's walk recycles committed request
-// boxes and emptied unpublished headers into the owner, and the owner's
-// next transaction draws from them before the shard freelists.
+// Tests for the one recycling tier: a finished owner parks on its App and
+// the App's next NewOwner hands it out again; FinishOwner's walk recycles
+// committed request boxes and emptied unpublished headers into the owner,
+// and the owner's next transaction draws from them before allocating.
 
 // TestBoxRecyclingFinishOwner is TestBoxRecycling through FinishOwner:
-// committed blocking acquires return their boxes to the owner's cache, not
-// the shard's, and the next transaction on the recycled owner reuses the
-// very box its last request freed.
+// committed blocking acquires return their boxes to the owner's cache, and
+// the next transaction on the recycled owner reuses the very box its last
+// request freed.
 func TestBoxRecyclingFinishOwner(t *testing.T) {
 	m := newMgr(Config{Shards: 1})
 	app := m.RegisterApp()
 	ctx := context.Background()
-	s := &m.shards[0]
 
 	o := m.NewOwner(app)
 	for i := 0; i < 4; i++ {
@@ -39,15 +39,9 @@ func TestBoxRecyclingFinishOwner(t *testing.T) {
 	if len(o.cache.hdrs) != 4 {
 		t.Fatalf("owner caches %d headers after committing 4 private rows, want 4", len(o.cache.hdrs))
 	}
-	if n := s.rfreeN.Load(); n != 0 {
-		t.Fatalf("shard cache holds %d boxes: FinishOwner recycled past a non-full owner cache", n)
-	}
 
 	o2 := m.NewOwner(app)
 	if o2 != o {
-		if raceEnabled {
-			t.Skip("the race detector makes sync.Pool drop owners at random")
-		}
 		t.Fatal("NewOwner did not hand the finished owner out again")
 	}
 	if err := m.Acquire(ctx, o2, RowName(2, 1), ModeX, 1); err != nil {
@@ -173,4 +167,131 @@ func TestOwnerCacheHammer(t *testing.T) {
 	if got := m.UsedStructs(); got != 0 {
 		t.Errorf("used structs = %d after every transaction finished", got)
 	}
+}
+
+// TestPinnedOwnerNotHandedOut: an owner finished while a queued
+// continuation naming it still holds a ref (here one a concurrent drainer
+// has popped and is running, as an escalation step would be) is not
+// parked, so NewOwner on the same app returns a different owner. Once the
+// drain has run the continuation, the original is parked and the next
+// NewOwner returns it.
+func TestPinnedOwnerNotHandedOut(t *testing.T) {
+	m := newMgr(Config{Shards: 1})
+	app := m.RegisterApp()
+	o := m.NewOwner(app)
+	if err := m.Acquire(context.Background(), o, RowName(1, 1), ModeX, 1); err != nil {
+		t.Fatal(err)
+	}
+	entered, release, drained := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	m.enqueueCont(cont{fn: func(*Manager, *request, error) {
+		close(entered)
+		<-release
+	}, pin: o.pin()})
+	go func() {
+		m.flushConts()
+		close(drained)
+	}()
+	<-entered
+	m.FinishOwner(o)
+	o2 := m.NewOwner(app)
+	if o2 == o {
+		t.Fatal("NewOwner handed out an owner a running continuation still pins")
+	}
+	close(release)
+	<-drained
+	o3 := m.NewOwner(app)
+	if o3 != o {
+		t.Fatal("the drained owner was not parked for the app's next NewOwner")
+	}
+	if o3.id <= o2.id {
+		t.Fatalf("reused owner id %d, want one above %d", o3.id, o2.id)
+	}
+	m.FinishOwner(o2)
+	m.FinishOwner(o3)
+	mustInvariants(t, m)
+}
+
+// TestLoneSessionKeepsItsOwner: a session whose transactions each run on
+// a new goroutine, and so may land on any P, gets the same owner back
+// every time, with its cache.
+func TestLoneSessionKeepsItsOwner(t *testing.T) {
+	m := newMgr(Config{Shards: 4})
+	app := m.RegisterApp()
+	var first *Owner
+	for i := 0; i < 50; i++ {
+		got := make(chan *Owner)
+		go func() {
+			o := m.NewOwner(app)
+			if err := m.Acquire(context.Background(), o, RowName(1, uint64(i)), ModeX, 1); err != nil {
+				t.Error(err)
+			}
+			m.FinishOwner(o)
+			got <- o
+		}()
+		o := <-got
+		if first == nil {
+			first = o
+		} else if o != first {
+			t.Fatalf("transaction %d ran on a different owner", i)
+		}
+	}
+	if n := len(first.cache.boxes); n != 1 {
+		t.Fatalf("the session's owner caches %d boxes, want 1", n)
+	}
+	mustInvariants(t, m)
+}
+
+// TestParkedOwnerChecked: CheckInvariants checks the app's parked owner
+// and its cache, and UnregisterApp drops it.
+func TestParkedOwnerChecked(t *testing.T) {
+	m := newMgr(Config{Shards: 1})
+	app := m.RegisterApp()
+	o := m.NewOwner(app)
+	if err := m.Acquire(context.Background(), o, RowName(1, 1), ModeX, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.FinishOwner(o)
+	if app.parked != o {
+		t.Fatal("FinishOwner did not park the owner on its app")
+	}
+	mustInvariants(t, m)
+
+	box := o.cache.boxes[0]
+	box.req.weight = 1
+	if err := m.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants passed a parked owner caching a box that is not zeroed")
+	}
+	box.req.weight = 0
+	o.refs.Store(1)
+	if err := m.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants passed a parked owner with a ref held")
+	}
+	o.refs.Store(0)
+	mustInvariants(t, m)
+
+	if err := m.UnregisterApp(app); err != nil {
+		t.Fatal(err)
+	}
+	if app.parked != nil {
+		t.Fatal("UnregisterApp kept the app's parked owner")
+	}
+}
+
+// TestNewOwnerChecksParkedOwner: in race builds NewOwner refuses a parked
+// owner that is not reset.
+func TestNewOwnerChecksParkedOwner(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("NewOwner checks the parked owner only with the race detector on")
+	}
+	m := newMgr(Config{Shards: 1})
+	app := m.RegisterApp()
+	o := m.NewOwner(app)
+	m.FinishOwner(o)
+	o.refs.Store(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewOwner handed out a parked owner with a ref held")
+		}
+	}()
+	m.NewOwner(app)
 }

@@ -414,9 +414,9 @@ func TestCommitStormReleasePath(t *testing.T) {
 		sweeps.Load(), aborts.Load(), m.Stats().Escalations, m.LatchAcquisitions())
 }
 
-// TestBoxRecycling: committed blocking acquires return their request boxes
-// to the home shard's cache, and a recycled box serves a later acquire
-// without confusing revalidation.
+// TestBoxRecycling: ReleaseAll (unlike FinishOwner) recycles nothing — it
+// keeps no boxes or headers and parks no owner — but returns every
+// structure to the pools, and never touches a caller-held async Pending.
 func TestBoxRecycling(t *testing.T) {
 	m := newMgr(Config{Shards: 1})
 	app := m.RegisterApp()
@@ -430,17 +430,15 @@ func TestBoxRecycling(t *testing.T) {
 			}
 		}
 		m.ReleaseAll(o)
-	}
-	s := &m.shards[0]
-	s.mu.Lock()
-	cached := len(s.rfree)
-	mirror := s.rfreeN.Load()
-	s.mu.Unlock()
-	if cached == 0 {
-		t.Fatal("no boxes recycled after committed blocking acquires")
-	}
-	if int32(cached) != mirror {
-		t.Fatalf("rfree mirror %d, cache holds %d", mirror, cached)
+		if used, held := m.UsedStructs(), app.structs.Load(); used != 0 || held != 0 {
+			t.Fatalf("round %d: %d structures used, %d charged to the app after ReleaseAll, want 0", round, used, held)
+		}
+		if n, h := len(o.cache.boxes), len(o.cache.hdrs); n != 0 || h != 0 {
+			t.Fatalf("round %d: ReleaseAll kept %d boxes and %d headers, want none", round, n, h)
+		}
+		if app.parked != nil {
+			t.Fatalf("round %d: ReleaseAll parked its owner", round)
+		}
 	}
 
 	// Async pendings are caller-held and must never be recycled.
@@ -489,12 +487,13 @@ func TestFinishOwnerRecycling(t *testing.T) {
 	}
 
 	// An owner that waited is recycled as well: nothing names it once its
-	// release is done, so FinishOwner pools it at once, reset.
+	// release is done, so FinishOwner parks it on its app at once, reset.
 	holder := m.NewOwner(app)
 	if err := m.Acquire(ctx, holder, RowName(2, 1), ModeX, 1); err != nil {
 		t.Fatal(err)
 	}
-	waiter := m.NewOwner(app)
+	waiterApp := m.RegisterApp()
+	waiter := m.NewOwner(waiterApp)
 	p := m.AcquireAsync(waiter, RowName(2, 1), ModeX, 1)
 	if st, _ := p.Status(); st != StatusWaiting {
 		t.Fatalf("conflicting request status %v, want waiting", st)
@@ -504,7 +503,7 @@ func TestFinishOwnerRecycling(t *testing.T) {
 		t.Fatalf("waiter status %v after holder release, want granted", st)
 	}
 	m.FinishOwner(waiter)
-	if waiter.released || waiter.app != nil || waiter.refs.Load() != 0 || len(waiter.wake) != 0 {
+	if waiter.released || waiter.app != nil || waiter.refs.Load() != 0 || len(waiter.wake) != 0 || waiterApp.parked != waiter {
 		t.Fatal("FinishOwner did not recycle the owner that waited")
 	}
 	if st, _ := p.Status(); st != StatusGranted {
